@@ -188,7 +188,8 @@ func BenchmarkDecomposeHLBUB_h2(b *testing.B) { benchDecompose(b, khcore.HLBUB, 
 func BenchmarkDecomposeHLB_h3(b *testing.B)   { benchDecompose(b, khcore.HLB, 3) }
 func BenchmarkDecomposeHLBUB_h3(b *testing.B) { benchDecompose(b, khcore.HLBUB, 3) }
 
-// Ablation benches for the design choices DESIGN.md calls out.
+// Ablation benches for two design choices: the partition width S of
+// Algorithm 4 (Options.PartitionSize) and the worker count.
 
 func BenchmarkAblationPartitionS1(b *testing.B)  { benchPartition(b, 1) }
 func BenchmarkAblationPartitionS4(b *testing.B)  { benchPartition(b, 4) }

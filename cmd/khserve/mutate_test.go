@@ -112,6 +112,9 @@ func TestMutateErrors(t *testing.T) {
 		{"missing delete", `{"op":"delete","u":1,"v":1}`},
 		{"ambiguous", `{"op":"insert","u":1,"v":2,"edits":[{"op":"insert","u":3,"v":4}]}`},
 		{"batch with one bad edit", `{"edits":[{"op":"insert","u":` + itoa(b) + `,"v":` + itoa(int(a)) + `}]}`},
+		{"id above int32", `{"op":"insert","u":1,"v":2147483648}`},
+		// a + 2^32 would wrap onto a, deleting the real edge {b, a}.
+		{"id wrapping onto an edge", `{"op":"delete","u":` + itoa(b) + `,"v":` + itoa(int(a)+1<<32) + `}`},
 	}
 	for _, c := range cases {
 		var eb errorBody

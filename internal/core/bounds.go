@@ -99,6 +99,7 @@ func LowerBounds(g *graph.Graph, h, workers int) (lb1, lb2 []int32) {
 	}
 	n := g.NumVertices()
 	pool := hbfs.NewPool(g, workers)
+	defer pool.Close()
 	var verts []int32
 	if needsLB1BFS(h) {
 		verts = make([]int32, n)
@@ -126,5 +127,6 @@ func HDegrees(g *graph.Graph, h, workers int) []int32 {
 		return []int32{}
 	}
 	pool := hbfs.NewPool(g, workers)
+	defer pool.Close()
 	return pool.HDegreesAll(h, nil)
 }

@@ -306,7 +306,9 @@ func DecomposeCtx(ctx context.Context, g *graph.Graph, opts Options) (*Result, e
 	if g == nil {
 		return nil, fmt.Errorf("%w: Decompose", ErrNilGraph)
 	}
-	return NewEngine(g, opts.Workers).DecomposeCtx(ctx, opts)
+	e := NewEngine(g, opts.Workers)
+	defer e.Close()
+	return e.DecomposeCtx(ctx, opts)
 }
 
 // interval is one top-down partition of Algorithm 4: core-index range
@@ -482,9 +484,9 @@ func NewEngine(g *graph.Graph, workers int) *Engine {
 	return e
 }
 
-// Close retires the engine's h-BFS worker goroutines. Optional: an
-// abandoned engine's workers are reclaimed by a finalizer, but explicit
-// Close makes teardown deterministic. The engine remains usable, running
+// Close retires the engine's h-BFS worker goroutines. Every engine with
+// more than one worker must be closed once it is no longer needed: nothing
+// else stops its parked helpers. The engine remains usable, running
 // single-threaded afterwards.
 func (e *Engine) Close() { e.pool.Close() }
 

@@ -12,12 +12,26 @@ package core
 //
 // Truncation bookkeeping: vertices whose count hit the cap are marked in
 // s.capped — their deg entry is a lower bound on the true h-degree, which
-// the cleaning cascade must not treat as an upper bound. When decrements
-// drag a capped entry below kmin, the vertex is re-verified with the
-// threshold kernel (HDegreeAtLeast semantics) before it may be evicted:
-// eviction only ever acts on exact counts. The LB3 minimum stays sound
-// because a truncated minimum can only under-estimate the true minimum,
-// and LB3 is a lower bound.
+// the cleaning cascade must not treat as an upper bound. Eviction only
+// ever acts on exact counts, so the cascade runs in waves. An exact entry
+// that a decrement drags below kmin is evicted at once. A capped entry
+// that dips below kmin becomes a suspect instead: it is parked on
+// s.suspects until the eviction stack runs dry, and then each suspect is
+// re-counted once with the threshold kernel (HDegreeAtLeast semantics,
+// capped at kmin+slack). Suspects that fail join the stack, and the waves
+// repeat until both lists are empty. Deferring the re-count is sound
+// because every eviction is justified on its own: the alive set always
+// contains every core the partition settles, so a vertex whose h-degree
+// inside it is below kmin lies outside all of them, and h-degrees only
+// fall as the alive set shrinks — a suspect that still reaches kmin after
+// the wave's evictions would have reached it at any earlier point. The
+// order of evictions is therefore free, as in Batagelj & Zaveršnik's peel
+// of a monotone property (Generalized Cores); it may change which
+// vertices the cleaning removes, never the cores, since coreDecomp
+// settles every survivor on exact counts. Batching spares the re-counts a
+// suspect used to pay at every dip between two evictions. The LB3 minimum
+// stays sound because a truncated minimum can only under-estimate the
+// true minimum, and LB3 is a lower bound.
 //
 // On return the alive mask reflects the cleaned partition; s.deg holds the
 // (possibly capped, flagged) h-degrees of step (1); s.lb3 has been raised
@@ -68,12 +82,15 @@ func (s *partitionSolver) improveLB(part []int32, kmin, kmax int) {
 	// Step 3: cascade-clean vertices that cannot reach h-degree kmin.
 	// Exact decrement-only updates give an upper bound on the true
 	// h-degree, so dropping below kmin is a sound eviction test; capped
-	// entries are re-verified first. Assigned vertices (core ≥ previous
-	// kmin > current kmax) can never be evicted: their h-degree inside the
-	// partition is at least min(core index, cap) ≥ kmin.
+	// entries wait as suspects for the next re-verification wave.
+	// Assigned vertices (core ≥ previous kmin > current kmax) can never be
+	// evicted: their h-degree inside the partition is at least
+	// min(core index, cap) ≥ kmin. inQueue marks both the eviction stack
+	// and the suspect list, so no vertex sits on both, or twice on one.
 	t := s.t
 	s.inQueue.Clear()
 	cascade := s.cascade[:0]
+	suspects := s.suspects[:0]
 	for _, v := range part {
 		if s.deg[v] < int32(kmin) {
 			cascade = append(cascade, v)
@@ -81,48 +98,56 @@ func (s *partitionSolver) improveLB(part []int32, kmin, kmax int) {
 		}
 	}
 	ops := 0
-	for len(cascade) > 0 {
-		if ops++; ops&cancelCheckMask == 0 && s.cancel.stop() {
-			break // canceled: the half-cleaned partition is never peeled
-		}
-		v := cascade[len(cascade)-1]
-		cascade = cascade[:len(cascade)-1]
-		if !s.alive.Contains(int(v)) {
-			continue
-		}
-		verts, _ := t.Ball(int(v), s.h, s.alive)
-		s.alive.Remove(int(v))
-		s.dips = s.dips[:0]
-		for _, u := range verts {
-			s.deg[u]--
-			s.stats.Decrements++
-			s.dirty.Add(int(u))
-			if s.deg[u] < int32(kmin) && !s.inQueue.Contains(int(u)) {
-				s.dips = append(s.dips, u)
+waves:
+	for {
+		for len(cascade) > 0 {
+			if ops++; ops&cancelCheckMask == 0 && s.cancel.stop() {
+				break waves // canceled: the half-cleaned partition is never peeled
+			}
+			v := cascade[len(cascade)-1]
+			cascade = cascade[:len(cascade)-1]
+			if !s.alive.Contains(int(v)) {
+				continue
+			}
+			verts, _ := t.Ball(int(v), s.h, s.alive)
+			s.alive.Remove(int(v))
+			for _, u := range verts {
+				s.deg[u]--
+				s.stats.Decrements++
+				s.dirty.Add(int(u))
+				if s.deg[u] >= int32(kmin) || s.inQueue.Contains(int(u)) {
+					continue
+				}
+				s.inQueue.Add(int(u))
+				if s.capped.Contains(int(u)) {
+					suspects = append(suspects, u)
+				} else {
+					cascade = append(cascade, u)
+				}
 			}
 		}
-		// verts aliases the traversal scratch, so the re-verifications run
-		// only after the ball has been consumed.
-		//khcore:poll-ok bounded by one ball's dips; the enclosing cascade loop polls every pop
-		for _, u := range s.dips {
-			if s.capped.Contains(int(u)) {
-				// The entry was a truncated lower bound; count again, far
-				// enough to decide the eviction.
-				d := t.HDegreeCapped(int(u), s.h, s.alive, kmin+s.slack)
-				s.stats.HDegreeComputations++
-				s.deg[u] = int32(d)
-				if d >= kmin+s.slack {
-					// Still truncated — and still safely above kmin.
-				} else {
-					s.capped.Remove(int(u))
-				}
-				if d >= kmin {
-					continue // survives the eviction test after all
-				}
+		if len(suspects) == 0 {
+			break
+		}
+		// Re-verification wave: the stack is empty, so every suspect is
+		// counted against the alive set all exact evictions have left.
+		for _, u := range suspects {
+			if ops++; ops&cancelCheckMask == 0 && s.cancel.stop() {
+				break waves
+			}
+			d := t.HDegreeCapped(int(u), s.h, s.alive, kmin+s.slack)
+			s.stats.HDegreeComputations++
+			s.deg[u] = int32(d)
+			if d < kmin+s.slack {
+				s.capped.Remove(int(u)) // the count is exact now
+			}
+			if d >= kmin {
+				s.inQueue.Remove(int(u)) // survives; a later dip may suspect it again
+				continue
 			}
 			cascade = append(cascade, u)
-			s.inQueue.Add(int(u))
 		}
+		suspects = suspects[:0]
 	}
-	s.cascade = cascade[:0]
+	s.cascade, s.suspects = cascade[:0], suspects[:0]
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"time"
 
@@ -109,6 +110,7 @@ func NewMaintainerCtx(ctx context.Context, g *graph.Graph, h int, opts Options) 
 	}
 	m.eng = NewEngine(g, opts.Workers)
 	if err := m.eng.DecomposeIntoCtx(ctx, &m.res, opts); err != nil {
+		m.eng.Close()
 		return nil, err
 	}
 	m.core = make([]int32, len(m.res.Core))
@@ -459,8 +461,12 @@ func (m *Maintainer) fullRedecompose(ctx context.Context, cold bool, inserts, de
 	return nil
 }
 
+// normalize validates one edit's endpoints and returns its key, the pair
+// ordered low to high. Vertex ids are int32 throughout the engine, so an
+// id above math.MaxInt32 is rejected rather than wrapped onto another
+// vertex.
 func (m *Maintainer) normalize(u, v int) ([2]int32, error) {
-	if u == v || u < 0 || v < 0 {
+	if u == v || u < 0 || v < 0 || u > math.MaxInt32 || v > math.MaxInt32 {
 		return [2]int32{}, fmt.Errorf("%w: invalid edge {%d,%d}", ErrBadEdit, u, v)
 	}
 	if u > v {

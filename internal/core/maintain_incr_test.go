@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/gen"
@@ -248,6 +249,45 @@ func TestIncrCancelInvalidatesRegionOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	decomposeEqual(t, m.Core(), want.Core, "after localized recovery")
+}
+
+// TestEditIDBounds pins the id range of an edit: vertex ids are int32
+// inside the engine, so an id that is negative or above math.MaxInt32 is a
+// plain ErrBadEdit and leaves the graph untouched — never wrapped onto
+// another vertex.
+func TestEditIDBounds(t *testing.T) {
+	g := gen.ErdosRenyi(40, 80, 5)
+	m, err := NewMaintainer(g, 2, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	a := 0
+	b := int(g.Neighbors(a)[0]) // {a, b} is an edge
+	cases := []struct {
+		name    string
+		e       incr.Edit
+		inRange bool // judged as an edge (absent) rather than rejected as an id
+	}{
+		{"negative", incr.Edit{U: -1, V: 3, Op: incr.Insert}, false},
+		{"just above int32", incr.Edit{U: 1, V: math.MaxInt32 + 1, Op: incr.Insert}, false},
+		{"both above int32", incr.Edit{U: math.MaxInt32 + 1, V: math.MaxInt64, Op: incr.Insert}, false},
+		{"insert wrapping to a self-loop", incr.Edit{U: a, V: a + 1<<32, Op: incr.Insert}, false},
+		{"delete wrapping onto an edge", incr.Edit{U: a, V: b + 1<<32, Op: incr.Delete}, false},
+		{"delete of int32 max", incr.Edit{U: a, V: math.MaxInt32, Op: incr.Delete}, true},
+	}
+	n, edges, before := m.Graph().NumVertices(), m.Graph().NumEdges(), m.Core()
+	for _, c := range cases {
+		err := m.ApplyBatch(context.Background(), []incr.Edit{c.e})
+		if !errors.Is(err, ErrBadEdit) || errors.Is(err, ErrNoSuchEdge) != c.inRange || errors.Is(err, ErrEdgeExists) {
+			t.Errorf("%s: got %v, want ErrBadEdit (wrapping ErrNoSuchEdge: %v)", c.name, err, c.inRange)
+		}
+	}
+	if m.Graph().NumVertices() != n || m.Graph().NumEdges() != edges {
+		t.Fatalf("rejected edits changed the graph: %d vertices %d edges, want %d, %d",
+			m.Graph().NumVertices(), m.Graph().NumEdges(), n, edges)
+	}
+	decomposeEqual(t, m.Core(), before, "after rejected edits")
 }
 
 // TestIncrTypedEditErrors pins the satellite-2 sentinels: duplicate

@@ -91,10 +91,10 @@ type partitionSolver struct {
 	q   *bucketQueue
 
 	// Scratch buffers, reused across runs.
-	part    []int32 // current partition's members (HLBUB)
-	cascade []int32 // ImproveLB eviction stack
-	dips    []int32 // ImproveLB eviction candidates awaiting re-verification
-	rebuf   []int32 // batched h-degree recomputations after a removal (HBZ)
+	part     []int32 // current partition's members (HLBUB)
+	cascade  []int32 // ImproveLB eviction stack
+	suspects []int32 // ImproveLB capped dips awaiting the next re-verification wave
+	rebuf    []int32 // batched h-degree recomputations after a removal (HBZ)
 }
 
 func newPartitionSolver() *partitionSolver {
@@ -141,7 +141,7 @@ func (s *partitionSolver) bind(g *graph.Graph, core []int32, h, slack int, pool 
 	// capacity n makes the steady state allocation-free under any schedule.
 	s.part = growInt32(s.part, n)[:0]
 	s.cascade = growInt32(s.cascade, n)[:0]
-	s.dips = growInt32(s.dips, n)[:0]
+	s.suspects = growInt32(s.suspects, n)[:0]
 	if s.q == nil || s.q.n < n {
 		s.q = newBucketQueue(n)
 	} else {
@@ -293,7 +293,7 @@ func (s *partitionSolver) solveInterval(kmin, kmax int, ub, lb2 []int32) {
 // vertex whose true h-degree it should have caught, and a vertex is only
 // ever settled after an exact (un-truncated) count at the frontier.
 //
-// Deviation from the paper's pseudocode (documented in DESIGN.md): lazy
+// Deviation from the paper's pseudocode (recorded here, where it occurs): lazy
 // re-bucketing inserts at max(deg, k), not deg, because the recomputed
 // h-degree can fall below the current level when same-core neighbors were
 // peeled first; inserting below the frontier would orphan the vertex.

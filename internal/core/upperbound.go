@@ -231,6 +231,7 @@ func UpperBoundsCtx(ctx context.Context, g *graph.Graph, h, workers int) ([]int3
 		return nil, fmt.Errorf("%w: h=%d (need h ≥ 1)", ErrInvalidH, h)
 	}
 	e := NewEngine(g, workers)
+	defer e.Close()
 	e.cancel.bindRun(ctx)
 	if e.cancel.stop() {
 		return nil, CanceledError(ctx)
@@ -280,6 +281,7 @@ func PowerPeelingOrderCtx(ctx context.Context, g *graph.Graph, h, workers int) (
 		return nil, nil, fmt.Errorf("%w: h=%d (need h ≥ 1)", ErrInvalidH, h)
 	}
 	e := NewEngine(g, workers)
+	defer e.Close()
 	e.cancel.bindRun(ctx)
 	if e.cancel.stop() {
 		return nil, nil, CanceledError(ctx)

@@ -5,8 +5,9 @@
 // near-planar road network) at a size small enough for a test harness; the
 // Scale field records the reduction factor. The experiments reproduce
 // relative behaviour (which algorithm wins, how bounds tighten by graph
-// family), which depends on topology class rather than raw size — see
-// DESIGN.md §3.
+// family), which depends on topology class rather than raw size. This
+// substitution is the reproduction's deliberate deviation from the paper's
+// real datasets.
 package datasets
 
 import (

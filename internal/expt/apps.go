@@ -106,7 +106,7 @@ func RenderTable6(rows []Table6Row) *Table {
 		Title:  "maximum h-club: direct exact solvers vs Algorithm 7 wrapper",
 		Header: []string{"dataset", "h", "max club", "direct", "direct-iter", "alg7+direct", "alg7+iter", "bnb nodes direct/wrapped", "exact"},
 		Notes: []string{
-			"DBC/ITDBC (Gurobi IP) replaced by combinatorial exact solvers — DESIGN.md §3",
+			"DBC/ITDBC (Gurobi IP) replaced by combinatorial exact solvers — see the internal/apps/hclub package notes",
 			"paper shape: the wrapper solves on a much smaller subgraph and wins consistently; budget-capped runs mirror the paper's NT/OM entries",
 		},
 	}

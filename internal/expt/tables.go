@@ -66,7 +66,7 @@ func RenderTable1(rows []Table1Row) *Table {
 		ID:     "table1",
 		Title:  "dataset characteristics (synthetic analogs; paper sizes for reference)",
 		Header: []string{"dataset", "|V|", "|E|", "avg deg", "max deg", "diam≥", "paper |V|", "paper |E|", "scale"},
-		Notes:  []string{"offline substitution: deterministic generators per topology class (DESIGN.md §3); diam is a double-sweep lower bound"},
+		Notes:  []string{"offline substitution: deterministic generators per topology class (see the internal/datasets package notes); diam is a double-sweep lower bound"},
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{

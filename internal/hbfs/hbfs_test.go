@@ -182,6 +182,7 @@ func TestPoolMatchesSequential(t *testing.T) {
 		}
 		h := 1 + next(3)
 		pool := NewPool(g, 4)
+		defer pool.Close()
 		verts := alive.AppendMembers(make([]int32, 0, n))
 		par := make([]int32, n)
 		pool.HDegrees(verts, h, alive, par)
@@ -201,6 +202,7 @@ func TestPoolMatchesSequential(t *testing.T) {
 func TestPoolVisitAccounting(t *testing.T) {
 	g := pathGraph(50)
 	pool := NewPool(g, 3)
+	defer pool.Close()
 	if pool.Workers() != 3 {
 		t.Fatalf("Workers = %d", pool.Workers())
 	}

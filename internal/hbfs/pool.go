@@ -43,10 +43,9 @@ type Pool struct {
 	s *poolShared
 }
 
-// poolShared is the state the helper goroutines retain. It deliberately
-// excludes the Pool wrapper itself so that an abandoned Pool becomes
-// unreachable, its finalizer runs, and the parked helpers exit instead of
-// leaking.
+// poolShared is the state the helper goroutines share with the Pool that
+// owns them. The helpers park until Close releases them; an unclosed
+// multi-worker Pool leaks them.
 type poolShared struct {
 	g       *graph.Graph
 	workers int
@@ -207,16 +206,16 @@ func (p *Pool) Reset(g *graph.Graph) {
 	}
 }
 
-// Close retires the helper goroutines. It is idempotent, runs as the
-// pool's finalizer when an unclosed pool becomes unreachable, and leaves
-// the pool usable — subsequent batches simply run on worker 0 alone.
+// Close retires the helper goroutines. Every pool with more than one
+// worker must be closed by its owner; nothing else stops the helpers. It
+// is idempotent and leaves the pool usable — subsequent batches simply
+// run on worker 0 alone.
 func (p *Pool) Close() {
 	s := p.s
 	if s.spawned && !s.closed {
 		close(s.quit)
 	}
 	s.closed = true
-	runtime.SetFinalizer(p, nil)
 }
 
 // ensureHelpers spawns the persistent helper goroutines on first use.
@@ -229,7 +228,6 @@ func (p *Pool) ensureHelpers() {
 	for i := 1; i < s.workers; i++ {
 		go helperLoop(s)
 	}
-	runtime.SetFinalizer(p, (*Pool).Close)
 }
 
 // helperLoop parks on the wake channel; each received index identifies the

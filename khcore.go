@@ -211,7 +211,9 @@ type Engine = core.Engine
 // NewEngine returns an Engine bound to g with an h-BFS worker pool of the
 // given size (≤ 0 selects NumCPU). The pool size — which also caps the
 // number of concurrent h-LB+UB partition solvers — is fixed for the
-// engine's lifetime; Options.Workers is ignored by its methods.
+// engine's lifetime; Options.Workers is ignored by its methods. Close the
+// engine when done with it: a multi-worker engine parks helper goroutines
+// that nothing else stops.
 func NewEngine(g *Graph, workers int) *Engine {
 	return core.NewEngine(g, workers)
 }
