@@ -47,7 +47,9 @@ race:
 # race-parallel is the CI smoke of the concurrent h-LB+UB path: the
 # parallel-vs-sequential equivalence property, engine reuse, the
 # EnginePool concurrent-load tests and the mid-peel cancellation property
-# under the race detector.
+# under the race detector. The core tests among them open the engine's
+# schedule decision through its one test hook (forceParallel), so the
+# concurrent paths run at any GOMAXPROCS.
 race-parallel:
 	go test -race -run 'TestParallel|TestEngine|TestCancel' ./internal/core/ .
 

@@ -20,6 +20,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -93,7 +94,8 @@ const (
 // laziness but re-pops a capped vertex at every level; a little slack lets
 // vertices whose h-degree sits just above the frontier come out exact, so
 // they ride the O(1) decrement path instead of paying another truncated
-// BFS. Tunable per run via Options.LazyCapSlack.
+// BFS. HLB, HBZ and the localized repair use it as is; HLBUB replaces it
+// with adaptiveSlack once its upper-bound histogram is in hand.
 const defaultLazyCapSlack = 16
 
 // Options configures Decompose.
@@ -119,21 +121,6 @@ type Options struct {
 	// the estimated work per partition from the upper-bound histogram
 	// (which is what makes the parallel partition peeling load-balance).
 	PartitionSize int
-	// LazyCapSlack is the headroom above the peeling frontier before a
-	// lazy h-degree count truncates (see defaultLazyCapSlack). 0 selects
-	// an adaptive value: HLBUB derives it from the upper-bound histogram
-	// (mean vertices per distinct UB value, clamped to [4, 64]) once
-	// Algorithm 5 has run, and the other algorithms — which have no UB
-	// histogram — use the fixed default (16). A positive value forces
-	// exactly that slack everywhere; a negative value selects zero slack.
-	LazyCapSlack int
-	// BatchMin is the batch size below which the h-BFS pool runs a batch
-	// on the publishing worker instead of waking the helpers; ≤ 0 selects
-	// the default (hbfs.DefaultBatchMin).
-	BatchMin int
-	// BatchChunk is the number of vertices a pool worker claims per atomic
-	// cursor bump; ≤ 0 selects the default (hbfs.DefaultBatchChunk).
-	BatchChunk int
 	// LowerBound and UpperBound select ablation variants (Table 5).
 	LowerBound LowerBoundKind
 	UpperBound UpperBoundKind
@@ -154,20 +141,6 @@ func (o Options) withDefaults() Options {
 	}
 	o.Approx = o.Approx.withDefaults()
 	return o
-}
-
-// slackValue resolves the LazyCapSlack encoding (0 = default, < 0 = none).
-// HLBUB later refines the default adaptively in planIntervals, where the
-// upper-bound histogram is in hand; see adaptiveSlack.
-func (o Options) slackValue() int {
-	switch {
-	case o.LazyCapSlack == 0:
-		return defaultLazyCapSlack
-	case o.LazyCapSlack < 0:
-		return 0
-	default:
-		return o.LazyCapSlack
-	}
 }
 
 // Stats records the work performed by a decomposition, mirroring the
@@ -391,6 +364,20 @@ type Engine struct {
 	// read observing a publish. nil outside a parallel HLBUB fan-out.
 	bcast []int32
 
+	// parallel is the engine's one schedule decision, made when it binds
+	// to a graph (NewEngine, Reset): whether Algorithm 5 runs the
+	// level-synchronous peel and HLBUB drains its intervals concurrently.
+	// Both need more than one pool worker and more than one schedulable
+	// CPU — on GOMAXPROCS=1 the fan-out costs 20–45% end to end for no
+	// gain (BENCH_parallel.json notes) — unless forceParallelSchedule is
+	// set.
+	parallel bool
+
+	// fixedSlack, when positive, pins the lazy-recount slack of every run
+	// (the adaptive HLBUB slack included). It is a test seam: the
+	// ImproveLB wave tests use slack 1 to reach the capped-dip path.
+	fixedSlack int
+
 	// Per-run state.
 	h     int
 	slack int
@@ -411,6 +398,12 @@ type Engine struct {
 	// construction) the h-BFS pool workers.
 	cancel cancelState
 }
+
+// forceParallelSchedule is the test hook of the schedule decision: while
+// set, every multi-worker engine bound to a graph takes the concurrent
+// paths even on a GOMAXPROCS=1 host, so single-core CI shards still run
+// them.
+var forceParallelSchedule bool
 
 // NewEngine returns an Engine bound to g with a worker pool of the given
 // size (≤ 0 selects NumCPU). The pool size also caps the number of
@@ -503,6 +496,7 @@ func (e *Engine) Workers() int { return e.pool.Workers() }
 func (e *Engine) Reset(g *graph.Graph) {
 	e.g = g
 	e.pool.Reset(g)
+	e.parallel = e.pool.Workers() > 1 && (runtime.GOMAXPROCS(0) > 1 || forceParallelSchedule)
 	e.core = growInt32(e.core, g.NumVertices())
 	// The bound arrays (lbA/lbB/degH/ub/ubdeg) are algorithm-specific and
 	// sized lazily at first use, so an engine that never runs HLBUB never
@@ -626,14 +620,12 @@ func (e *Engine) DecomposeIntoCtx(ctx context.Context, res *Result, opts Options
 }
 
 // beginRun resets the per-run state: the sequential solver arena with a
-// full alive set, zeroed core indices and counters, and the run's pool
-// tuning.
+// full alive set, zeroed core indices and counters.
 func (e *Engine) beginRun(opts Options) {
 	e.h = opts.H
 	e.opts = opts
-	e.slack = opts.slackValue()
+	e.slack = e.baseSlack()
 	e.stats = Stats{}
-	e.pool.SetTuning(opts.BatchMin, opts.BatchChunk)
 	e.pool.ResetVisits()
 	s0 := e.sv[0]
 	s0.bind(e.g, e.core, e.h, e.slack, e.pool, &e.cancel)
@@ -642,6 +634,15 @@ func (e *Engine) beginRun(opts Options) {
 	for i := range e.core {
 		e.core[i] = 0
 	}
+}
+
+// baseSlack is the lazy-recount slack a run starts from: the default, or
+// the fixedSlack test seam.
+func (e *Engine) baseSlack() int {
+	if e.fixedSlack > 0 {
+		return e.fixedSlack
+	}
+	return defaultLazyCapSlack
 }
 
 func (e *Engine) clearSeeds() {

@@ -1,16 +1,9 @@
 package core
 
 import (
-	"runtime"
 	"slices"
 	"time"
 )
-
-// forceParallelIntervals is a test hook: the concurrent interval path is
-// normally gated on GOMAXPROCS > 1 (below), which would leave it untested
-// on single-core CI shards; package tests flip this to exercise the real
-// fan-out regardless.
-var forceParallelIntervals = false
 
 // runHLBUB implements Algorithm 4 (h-LB+UB): compute lower bounds (LB2)
 // and the power-graph upper bound (Algorithm 5), partition the range of
@@ -69,14 +62,13 @@ func (e *Engine) runHLBUB() {
 	}
 
 	// The concurrent path trades the serial carry savings for parallelism,
-	// so it must only run where parallelism can materialize: with one
-	// schedulable CPU the measured cost is a 20–45% end-to-end regression
-	// (BENCH_parallel.json notes) for zero gain, so a multi-worker engine
-	// on a GOMAXPROCS=1 host falls back to the serial carry path. The
-	// effective solver count also drives the adaptive partition budget —
-	// a serial run must not pay a worker-scaled partition count.
+	// so it runs only where the engine's schedule decision says
+	// parallelism can materialize (see Engine.parallel); otherwise a
+	// multi-worker engine takes the serial carry path. The effective
+	// solver count also drives the adaptive partition budget — a serial
+	// run must not pay a worker-scaled partition count.
 	solvers := 1
-	if e.pool.Workers() > 1 && (runtime.GOMAXPROCS(0) > 1 || forceParallelIntervals) {
+	if e.parallel {
 		solvers = e.pool.Workers()
 	}
 
@@ -120,16 +112,16 @@ func (e *Engine) planIntervals(ub, lb2 []int32, solvers int) {
 	slices.Reverse(vals)
 	e.ubvals = vals
 
-	// With the UB distribution finally in hand, resolve LazyCapSlack = 0
-	// ("adaptive") against it: the mean number of vertices per distinct UB
-	// value estimates how many re-pops a capped vertex survives per level,
-	// so dense spectra (many vertices per value — the slack pays for
-	// itself quickly) get more headroom than sparse ones. The sequential
-	// solver was bound in beginRun with the provisional default, so its
-	// slack is re-pointed here; the parallel solvers bind later and pick
-	// up e.slack naturally. An explicit Options.LazyCapSlack (> 0 forced,
-	// < 0 zero) is left alone.
-	if e.opts.LazyCapSlack == 0 {
+	// With the UB distribution finally in hand, derive the lazy-recount
+	// slack from it: the mean number of vertices per distinct UB value
+	// estimates how many re-pops a capped vertex survives per level, so
+	// dense spectra (many vertices per value — the slack pays for itself
+	// quickly) get more headroom than sparse ones. The sequential solver
+	// was bound in beginRun with the provisional default, so its slack is
+	// re-pointed here; the parallel solvers bind later and pick up e.slack
+	// naturally. A slack pinned through the fixedSlack test seam is left
+	// alone.
+	if e.fixedSlack == 0 {
 		e.slack = adaptiveSlack(len(ub), len(vals)-1)
 		e.sv[0].slack = e.slack
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,18 +16,24 @@ import (
 	"repro/internal/graph"
 )
 
-// suspectGraph is one graph of the ImproveLB wave tests; waves marks the
-// graphs whose cleaning produces capped dips under suspectOpts.
+// suspectGraph is one graph of the ImproveLB wave tests; waves lists the
+// h values at which its cleaning produces capped dips under suspectOpts.
 type suspectGraph struct {
 	name  string
 	g     *graph.Graph
-	waves bool
+	waves []int
 }
 
-// suspectCorpus is the graph set of the ImproveLB wave tests: the three
-// generator families plus the jazz dataset. Under suspectOpts the BA and ER
-// graphs produce capped dips at both h; the caveman blocks and jazz clean
-// without one, covering the wave-free path.
+// suspectCorpus is the graph set of the ImproveLB wave tests: four
+// generator families plus the jazz dataset. Under suspectOpts the BA and
+// ER graphs produce capped dips at both h; the caveman blocks and jazz
+// clean without one, covering the wave-free path. The ring is the
+// boundary case of the re-verification: a ring lattice (every vertex
+// linked to its three nearest neighbours on each side) with a tenth of
+// its edges rewired, so h-degrees sit close together and, at h=3, many
+// suspects re-count to exactly kmin and belong to the kmin-core. A wave
+// that evicted them — a survival test of d > kmin instead of d >= kmin —
+// lowers 44 of its 60 cores; no other graph here notices.
 func suspectCorpus(t *testing.T) []suspectGraph {
 	t.Helper()
 	jazz, err := datasets.Load("jazz")
@@ -34,19 +41,27 @@ func suspectCorpus(t *testing.T) []suspectGraph {
 		t.Fatal(err)
 	}
 	return []suspectGraph{
-		{"BA", gen.BarabasiAlbert(250, 4, 11), true},
-		{"ER", gen.ErdosRenyi(250, 1250, 12), true},
-		{"caveman", gen.Communities(250, 8, 20, 40, 0.05, 13), false},
-		{"jazz", jazz, false},
+		{"BA", gen.BarabasiAlbert(250, 4, 11), []int{2, 3}},
+		{"ER", gen.ErdosRenyi(250, 1250, 12), []int{2, 3}},
+		{"caveman", gen.Communities(250, 8, 20, 40, 0.05, 13), nil},
+		{"jazz", jazz, nil},
+		{"ring", gen.WattsStrogatz(60, 6, 0.1, 126), []int{3}},
 	}
 }
 
-// suspectOpts drives ImproveLB's re-verification waves hard: a slack of 1
-// truncates nearly every partition member's h-degree just above kmax+1,
-// so decrements drag many capped entries below kmin, and small fixed
+// suspectEngine and suspectOpts drive ImproveLB's re-verification waves
+// hard: the engine's lazy-recount slack is pinned to 1, which truncates
+// nearly every partition member's h-degree just above kmax+1, so
+// decrements drag many capped entries below kmin, and small fixed
 // partitions make many cleaning passes per run.
+func suspectEngine(g *graph.Graph, workers int) *Engine {
+	e := NewEngine(g, workers)
+	e.fixedSlack = 1
+	return e
+}
+
 func suspectOpts(h int) Options {
-	return Options{H: h, LazyCapSlack: 1, PartitionSize: 2}
+	return Options{H: h, PartitionSize: 2}
 }
 
 // waveRecounts replays the ImproveLB pass of every interval e planned in
@@ -87,14 +102,14 @@ func TestImproveLBSuspectWavesExact(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2} {
 				t.Run(fmt.Sprintf("%s/h=%d/workers=%d", c.name, h, workers), func(t *testing.T) {
-					eng := NewEngine(c.g, workers)
+					eng := suspectEngine(c.g, workers)
 					defer eng.Close()
 					var res Result
 					if err := eng.DecomposeInto(&res, suspectOpts(h)); err != nil {
 						t.Fatal(err)
 					}
 					decomposeEqual(t, res.Core, want, "vs naive")
-					if r := waveRecounts(eng); c.waves && r == 0 {
+					if r := waveRecounts(eng); slices.Contains(c.waves, h) && r == 0 {
 						t.Fatal("no capped dip was re-verified; the settings no longer reach the wave path")
 					}
 				})
@@ -157,7 +172,7 @@ func TestImproveLBCancelMidCascade(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("h=%d/workers=%d", h, workers), func(t *testing.T) {
-				eng := NewEngine(g, workers)
+				eng := suspectEngine(g, workers)
 				defer eng.Close()
 				for _, polls := range []int64{1, 3} {
 					ctx := &cascadeCancelCtx{done: make(chan struct{})}

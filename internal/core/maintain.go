@@ -46,10 +46,7 @@ type Maintainer struct {
 	eng  *Engine
 	res  Result // reusable output buffer for full-run fallbacks
 	core []int32
-	// edges is the authoritative edge set, against which batches are
-	// validated; the CSR graph is patched per batch with graph.Splice.
-	edges map[[2]int32]struct{}
-	n     int
+	n    int
 	// incremental gates the localized-repair path; SetIncremental(false)
 	// forces every update down the full re-decomposition fallback (the
 	// rerun-per-edit baseline of BENCH_incr.json, and an operational
@@ -103,7 +100,6 @@ func NewMaintainerCtx(ctx context.Context, g *graph.Graph, h int, opts Options) 
 		opts:        opts,
 		g:           g,
 		n:           g.NumVertices(),
-		edges:       make(map[[2]int32]struct{}, g.NumEdges()),
 		incremental: true,
 		finder:      incr.NewFinder(),
 		overlay:     make(map[[2]int32]bool),
@@ -118,13 +114,6 @@ func NewMaintainerCtx(ctx context.Context, g *graph.Graph, h int, opts Options) 
 		m.core[v] = int32(c)
 	}
 	m.lastStats = m.res.Stats
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, u := range g.Neighbors(v) {
-			if v < int(u) {
-				m.edges[[2]int32{int32(v), int32(u)}] = struct{}{}
-			}
-		}
-	}
 	return m, nil
 }
 
@@ -209,7 +198,7 @@ func (m *Maintainer) DeleteEdgeCtx(ctx context.Context, u, v int) error {
 // Validation is all-or-nothing: any invalid edit (ErrEdgeExists,
 // ErrNoSuchEdge, ErrBadEdit) rejects the whole batch before anything is
 // applied. A batch interrupted after validation — canceled or panicked —
-// leaves the edge set updated but the published indices describing the
+// leaves the graph updated but the published indices describing the
 // pre-batch graph, with the batch recorded as pending (see Stale); a
 // retry of the same edits while stale treats already-applied edits as
 // satisfied rather than duplicate. A panicking repair additionally
@@ -222,9 +211,9 @@ func (m *Maintainer) ApplyBatch(ctx context.Context, edits []incr.Edit) (err err
 	defer func() {
 		if r := recover(); r != nil {
 			// The engine's scratch is presumed corrupt mid-panic; replace
-			// it wholesale. The edge set and graph are already consistent,
-			// and the pending bookkeeping below was recorded before any
-			// fault site, so the owed repair survives the swap.
+			// it wholesale. The graph is already spliced, and the pending
+			// bookkeeping below was recorded before any fault site, so the
+			// owed repair survives the swap.
 			m.eng.Close()
 			m.eng = NewEngine(m.g, m.opts.Workers)
 			err = &EnginePanicError{Op: "ApplyBatch", Value: r, Stack: debug.Stack()}
@@ -262,19 +251,10 @@ func (m *Maintainer) ApplyBatch(ctx context.Context, edits []incr.Edit) (err err
 		}
 	}
 
-	// Commit point: apply the batch to the edge set and record it as
-	// pending. Every later phase is interruptible; the pending record is
-	// what keeps an interruption sound.
-	for i, e := range edits {
-		if m.editSkip[i] {
-			continue
-		}
-		if e.Op == incr.Insert {
-			m.edges[m.editKeys[i]] = struct{}{}
-		} else {
-			delete(m.edges, m.editKeys[i])
-		}
-	}
+	// Commit point: record the batch as pending and splice it into the
+	// graph, the one edge set batches are validated against. Every later
+	// phase is interruptible; the pending record is what keeps an
+	// interruption sound.
 	m.n = newN
 	m.stale = true
 	m.pendingEdits = append(m.pendingEdits, edits...)
@@ -365,8 +345,8 @@ func (m *Maintainer) ApplyBatch(ctx context.Context, edits []incr.Edit) (err err
 	return nil
 }
 
-// validateBatch checks every edit against the edge set as the batch
-// would evolve it (via the overlay), filling m.editKeys and m.editSkip.
+// validateBatch checks every edit against the graph as the batch would
+// evolve it (via the overlay), filling m.editKeys and m.editSkip.
 // No state is mutated on error. An edit that a canceled earlier attempt
 // already applied is marked skip: the retry completes the owed repair
 // instead of failing as a duplicate.
@@ -387,7 +367,9 @@ func (m *Maintainer) validateBatch(edits []incr.Edit) error {
 		m.editSkip[i] = false
 		present, overlaid := m.overlay[key]
 		if !overlaid {
-			_, present = m.edges[key]
+			// An endpoint past the vertex set (a valid id the batch may
+			// be about to create) is simply absent.
+			present = int(key[1]) < m.g.NumVertices() && m.g.HasEdge(int(key[0]), int(key[1]))
 		}
 		switch e.Op {
 		case incr.Insert:
@@ -476,11 +458,11 @@ func (m *Maintainer) normalize(u, v int) ([2]int32, error) {
 }
 
 // splice rebinds m.g to the post-batch graph via graph.Splice — a linear
-// CSR merge instead of an O(m log m) rebuild from the edge set, so the
-// graph-update cost of a small batch is memory-bandwidth bound. The
-// validated editKeys satisfy Splice's preconditions: normalized,
-// duplicate-free, inserts absent from and deletes present in m.g
-// (already-applied retry edits are marked skip and excluded).
+// CSR merge instead of an O(m log m) rebuild, so the graph-update cost
+// of a small batch is memory-bandwidth bound. The validated editKeys
+// satisfy Splice's preconditions: normalized, duplicate-free, inserts
+// absent from and deletes present in m.g (already-applied retry edits
+// are marked skip and excluded).
 func (m *Maintainer) splice(edits []incr.Edit) {
 	// A batch may legally revisit a key (insert then delete the same
 	// pair); Splice wants net effects, so cancel such pairs out. A valid

@@ -254,7 +254,7 @@ func TestIncrCancelInvalidatesRegionOnly(t *testing.T) {
 // TestEditIDBounds pins the id range of an edit: vertex ids are int32
 // inside the engine, so an id that is negative or above math.MaxInt32 is a
 // plain ErrBadEdit and leaves the graph untouched — never wrapped onto
-// another vertex.
+// another vertex. An in-range id past the vertex set names no edge yet.
 func TestEditIDBounds(t *testing.T) {
 	g := gen.ErdosRenyi(40, 80, 5)
 	m, err := NewMaintainer(g, 2, Options{Workers: 1})
@@ -275,6 +275,7 @@ func TestEditIDBounds(t *testing.T) {
 		{"insert wrapping to a self-loop", incr.Edit{U: a, V: a + 1<<32, Op: incr.Insert}, false},
 		{"delete wrapping onto an edge", incr.Edit{U: a, V: b + 1<<32, Op: incr.Delete}, false},
 		{"delete of int32 max", incr.Edit{U: a, V: math.MaxInt32, Op: incr.Delete}, true},
+		{"delete past the vertex set", incr.Edit{U: g.NumVertices() + 1, V: g.NumVertices() + 2, Op: incr.Delete}, true},
 	}
 	n, edges, before := m.Graph().NumVertices(), m.Graph().NumEdges(), m.Core()
 	for _, c := range cases {

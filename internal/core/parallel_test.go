@@ -8,26 +8,17 @@ import (
 	"repro/internal/gen"
 )
 
-// forceParallel makes every concurrent path run regardless of the host's
-// GOMAXPROCS gate — the interval fan-out AND the level-synchronous
-// Algorithm-5 peel — so these tests exercise the real machinery (including
-// the settled-vertex broadcast) even on a single-core machine, where the
-// engine would otherwise — correctly — fall back to the serial paths.
+// forceParallel opens the engine's schedule decision regardless of the
+// host's GOMAXPROCS — the interval fan-out AND the level-synchronous
+// Algorithm-5 peel — for every multi-worker engine the test builds
+// afterwards, so these tests exercise the real machinery (including the
+// settled-vertex broadcast) even on a single-core machine, where the
+// engine would otherwise — correctly — take the serial paths.
 func forceParallel(t *testing.T) {
 	t.Helper()
-	old, oldUB := forceParallelIntervals, forceParallelUB
-	forceParallelIntervals, forceParallelUB = true, true
-	t.Cleanup(func() { forceParallelIntervals, forceParallelUB = old, oldUB })
-}
-
-// forceParallelUBOnly flips just the Algorithm-5 gate, so the upper-bound
-// equivalence property below isolates the level-synchronous peel from the
-// interval fan-out.
-func forceParallelUBOnly(t *testing.T) {
-	t.Helper()
-	old := forceParallelUB
-	forceParallelUB = true
-	t.Cleanup(func() { forceParallelUB = old })
+	old := forceParallelSchedule
+	forceParallelSchedule = true
+	t.Cleanup(func() { forceParallelSchedule = old })
 }
 
 // TestParallelUpperBoundBitIdentical is the level-synchronous Algorithm-5
@@ -38,7 +29,7 @@ func forceParallelUBOnly(t *testing.T) {
 // approximations. Run under -race in CI, it also checks the fan-out's
 // queue-probe/atomic-decrement discipline.
 func TestParallelUpperBoundBitIdentical(t *testing.T) {
-	forceParallelUBOnly(t)
+	forceParallel(t) // UpperBounds runs only Algorithm 5, so no intervals fan out
 	check := func(seed int64) bool {
 		g := randGraph(seed, 60, 3)
 		for h := 1; h <= 3; h++ {

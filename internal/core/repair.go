@@ -43,9 +43,8 @@ func (e *Engine) repairRegionCtx(ctx context.Context, cores []int32, region, bou
 		return 0, CanceledError(ctx)
 	}
 	opts = opts.withDefaults()
-	e.h, e.opts, e.slack = h, opts, opts.slackValue()
+	e.h, e.opts, e.slack = h, opts, e.baseSlack()
 	e.stats = Stats{}
-	e.pool.SetTuning(opts.BatchMin, opts.BatchChunk)
 	e.pool.ResetVisits()
 	s := e.sv[0]
 	s.bind(e.g, cores, h, e.slack, e.pool, &e.cancel)

@@ -37,7 +37,7 @@ type partitionSolver struct {
 	// index.
 	core  []int32
 	h     int
-	slack int // lazy-recount headroom (Options.LazyCapSlack)
+	slack int // lazy-recount headroom (see defaultLazyCapSlack)
 	stats Stats
 	// cancel is the engine's per-run cancellation broadcast; the peeling
 	// and cleaning loops poll it, amortized by cancelCheckMask.

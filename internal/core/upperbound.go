@@ -3,17 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"repro/internal/faultinject"
 	"repro/internal/graph"
 )
-
-// forceParallelUB is a test hook mirroring forceParallelIntervals: the
-// level-synchronous parallel Algorithm-5 peel is normally gated on
-// GOMAXPROCS > 1, which would leave it untested on single-core CI shards;
-// package tests flip this to exercise the real fan-out regardless.
-var forceParallelUB = false
 
 // upperBoundsInto implements Algorithm 5: an upper bound on every core
 // index obtained by peeling the power graph G^h implicitly, without ever
@@ -27,9 +20,9 @@ var forceParallelUB = false
 // The result lands in (and aliases) the engine's ub scratch; the
 // sequential solver's bucket queue is borrowed and left empty.
 //
-// A multi-worker engine on a multi-core host (same gate as the interval
-// peeling, with its own force hook) runs the level-synchronous parallel
-// peel; everything else takes the serial loop.
+// An engine whose schedule decision is parallel (see Engine.parallel)
+// runs the level-synchronous parallel peel; everything else takes the
+// serial loop.
 func (e *Engine) upperBoundsInto(degH []int32) []int32 {
 	n := e.g.NumVertices()
 	e.ub = growInt32(e.ub, n)
@@ -41,7 +34,7 @@ func (e *Engine) upperBoundsInto(degH []int32) []int32 {
 		return ub
 	}
 	q := e.powerPeelInit(degH)
-	if e.pool.Workers() > 1 && (runtime.GOMAXPROCS(0) > 1 || forceParallelUB) {
+	if e.parallel {
 		e.powerPeelParallel(ub, e.ubdeg, q)
 	} else {
 		e.powerPeelSerial(ub, e.ubdeg, q, nil)
@@ -135,7 +128,7 @@ func (e *Engine) powerPeelSerial(ub, ubdeg []int32, q *bucketQueue, order []int)
 // from one move per decrement to one move per distinct touched vertex —
 // on ball-heavy rounds the former is many times the latter — while the
 // per-worker decrement tallies keep Stats.Decrements identical to the
-// serial peel. Frontiers smaller than the pool's batchMin run inline on
+// serial peel. Frontiers smaller than the pool's inline threshold run on
 // worker 0 inside Pool.Balls, so the frequent tiny rounds of a skewed
 // bound distribution never pay helper wake-ups.
 //

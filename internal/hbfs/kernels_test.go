@@ -40,9 +40,15 @@ func refHDegree(g *graph.Graph, src, h int, alive map[int]bool) int {
 	return len(queue) - 1
 }
 
-// randomCase builds a deterministic pseudo-random graph and alive mask
-// from a seed.
+// randomCase builds a deterministic pseudo-random graph of 30–99 vertices
+// and alive mask from a seed.
 func randomCase(seed int64) (g *graph.Graph, alive *vset.Set, aliveMap map[int]bool, h int) {
+	return randomCaseMin(seed, 30)
+}
+
+// randomCaseMin is randomCase with at least minN (and under minN+70)
+// vertices.
+func randomCaseMin(seed int64, minN int) (g *graph.Graph, alive *vset.Set, aliveMap map[int]bool, h int) {
 	r := seed
 	next := func(n int) int {
 		r = r*6364136223846793005 + 1442695040888963407
@@ -52,7 +58,7 @@ func randomCase(seed int64) (g *graph.Graph, alive *vset.Set, aliveMap map[int]b
 		}
 		return v
 	}
-	n := 30 + next(70)
+	n := minN + next(70)
 	b := graph.NewBuilder(n)
 	for i := 0; i < 3*n; i++ {
 		b.AddEdge(next(n), next(n))
@@ -265,24 +271,30 @@ func TestPoolCappedMatchesSequential(t *testing.T) {
 // against per-vertex sequential Ball calls: identical members, order and
 // shell split (Ball is deterministic given the source, so worker identity
 // must not leak into results), with and without an alive mask, through
-// both the inline small-batch path and the forced helper fan-out.
+// both the inline small-batch path (a batch one short of batchMin) and
+// the helper fan-out (a batch of at least batchMin vertices whose length
+// is not a multiple of batchChunk, so the last claimed chunk is a tail).
 func TestPoolBallsMatchesSequential(t *testing.T) {
 	check := func(seed int64) bool {
-		g, alive, _, h := randomCase(seed)
+		g, alive, _, h := randomCaseMin(seed, batchMin+1)
 		n := g.NumVertices()
 		pool := NewPool(g, 4)
 		defer pool.Close()
-		verts := make([]int32, n)
-		for v := range verts {
-			verts[v] = int32(v)
+		all := make([]int32, n)
+		for v := range all {
+			all[v] = int32(v)
+		}
+		fanOut := n
+		if fanOut%batchChunk == 0 {
+			fanOut--
 		}
 		for _, masked := range []bool{false, true} {
 			var av *vset.Set
 			if masked {
 				av = alive
 			}
-			for _, batchMin := range []int{0, 1} { // default (inline here) and forced fan-out
-				pool.SetTuning(batchMin, batchMin)
+			for _, size := range []int{batchMin - 1, fanOut} {
+				verts := all[:size]
 				got := make([][]int32, n)
 				shells := make([]int, n)
 				pool.Balls(verts, h, av, func(worker int, v int32, ball []int32, shellStart int) {
@@ -295,8 +307,8 @@ func TestPoolBallsMatchesSequential(t *testing.T) {
 				for _, v := range verts {
 					want, wantShell := seq.Ball(int(v), h, av)
 					if len(got[v]) != len(want) || shells[v] != wantShell {
-						t.Errorf("seed=%d v=%d h=%d masked=%v batchMin=%d: |ball|=%d shell=%d, want %d/%d",
-							seed, v, h, masked, batchMin, len(got[v]), shells[v], len(want), wantShell)
+						t.Errorf("seed=%d v=%d h=%d masked=%v batch=%d: |ball|=%d shell=%d, want %d/%d",
+							seed, v, h, masked, size, len(got[v]), shells[v], len(want), wantShell)
 						return false
 					}
 					for i := range want {

@@ -24,36 +24,24 @@ import (
 	"repro/internal/vset"
 )
 
-// DefaultBatchMin is the default batch size below which the publisher runs
-// the whole batch on worker 0 rather than waking the helpers. Tunable per
-// pool via SetTuning.
-const DefaultBatchMin = 64
+// batchMin is the batch size below which the publisher runs the whole
+// batch on worker 0 rather than waking the helpers.
+const batchMin = 64
 
-// DefaultBatchChunk is the default number of vertices a worker claims per
-// cursor bump. Tunable per pool via SetTuning.
-const DefaultBatchChunk = 32
+// batchChunk is the number of vertices a worker claims per cursor bump.
+const batchChunk = 32
 
 // Pool runs batch h-degree computations with a fixed number of workers.
 // Helper goroutines are spawned lazily on the first large batch and then
-// persist, parked between batches; the publishing goroutine doubles as
-// worker 0, so a single-worker pool never spawns anything. Visit counts
+// persist, parked between batches, until Close releases them — an
+// unclosed multi-worker Pool leaks them. The publishing goroutine doubles
+// as worker 0, so a single-worker pool never spawns anything. Visit counts
 // from all workers aggregate into the pool. A Pool is NOT safe for
 // concurrent use: one batch (or Run job) at a time.
 type Pool struct {
-	s *poolShared
-}
-
-// poolShared is the state the helper goroutines share with the Pool that
-// owns them. The helpers park until Close releases them; an unclosed
-// multi-worker Pool leaks them.
-type poolShared struct {
 	g       *graph.Graph
 	workers int
 	travs   []*Traversal
-
-	// Batch tuning, adjustable between batches via SetTuning.
-	batchMin   int
-	batchChunk int64
 
 	// The published batch. Written by the publisher before the helpers are
 	// woken, read by helpers, and cleared after wg resolves — the wake
@@ -126,12 +114,12 @@ type capturedPanic struct {
 }
 
 // capture is deferred by every batch participant; it parks the first
-// panic of the job in s.panicked instead of letting it kill the process.
+// panic of the job in p.panicked instead of letting it kill the process.
 // Later panics of the same job lose the CAS and are dropped — one
 // representative failure is enough to quarantine the engine.
-func (s *poolShared) capture() {
+func (p *Pool) capture() {
 	if r := recover(); r != nil {
-		s.panicked.CompareAndSwap(nil, &capturedPanic{val: r, stack: debug.Stack()})
+		p.panicked.CompareAndSwap(nil, &capturedPanic{val: r, stack: debug.Stack()})
 	}
 }
 
@@ -139,8 +127,8 @@ func (s *poolShared) capture() {
 // runs only after wg.Wait and the shared-state clear, so by the time the
 // panic unwinds into the caller every worker is parked again and the
 // pool itself is reusable — only the owning engine's scratch is suspect.
-func (s *poolShared) rethrow() {
-	if cp := s.panicked.Swap(nil); cp != nil {
+func (p *Pool) rethrow() {
+	if cp := p.panicked.Swap(nil); cp != nil {
 		panic(cp.val)
 	}
 }
@@ -154,38 +142,21 @@ func NewPool(g *graph.Graph, workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	s := &poolShared{
-		g:          g,
-		workers:    workers,
-		travs:      make([]*Traversal, workers),
-		batchMin:   DefaultBatchMin,
-		batchChunk: DefaultBatchChunk,
-		wake:       make(chan int, workers-1),
-		quit:       make(chan struct{}),
+	p := &Pool{
+		g:       g,
+		workers: workers,
+		travs:   make([]*Traversal, workers),
+		wake:    make(chan int, workers-1),
+		quit:    make(chan struct{}),
 	}
-	for i := range s.travs {
-		s.travs[i] = NewTraversal(g)
+	for i := range p.travs {
+		p.travs[i] = NewTraversal(g)
 	}
-	return &Pool{s: s}
+	return p
 }
 
 // Workers returns the pool size.
-func (p *Pool) Workers() int { return p.s.workers }
-
-// SetTuning adjusts the batch dispatch parameters: batchMin is the batch
-// size below which the publisher skips waking the helpers, batchChunk the
-// number of vertices a worker claims per cursor bump. Values ≤ 0 restore
-// the defaults. Must not be called while a batch or Run job is in flight.
-func (p *Pool) SetTuning(batchMin, batchChunk int) {
-	if batchMin <= 0 {
-		batchMin = DefaultBatchMin
-	}
-	if batchChunk <= 0 {
-		batchChunk = DefaultBatchChunk
-	}
-	p.s.batchMin = batchMin
-	p.s.batchChunk = int64(batchChunk)
-}
+func (p *Pool) Workers() int { return p.workers }
 
 // SetCancel installs a cancellation probe polled by every worker between
 // batch chunks (and by the inline small-batch path every chunk's worth of
@@ -194,14 +165,14 @@ func (p *Pool) SetTuning(batchMin, batchChunk int) {
 // be safe for concurrent use and cheap; nil removes the probe. Must be set
 // while no batch or Run job is in flight — typically once, at pool-owner
 // construction.
-func (p *Pool) SetCancel(fn func() bool) { p.s.cancelFn = fn }
+func (p *Pool) SetCancel(fn func() bool) { p.cancelFn = fn }
 
 // Reset re-binds every worker traversal to g, reusing scratch capacity.
 // Must not be called while a batch is in flight (helpers are parked
 // between batches, so calls between batches are safe).
 func (p *Pool) Reset(g *graph.Graph) {
-	p.s.g = g
-	for _, t := range p.s.travs {
+	p.g = g
+	for _, t := range p.travs {
 		t.Reset(g)
 	}
 }
@@ -211,22 +182,20 @@ func (p *Pool) Reset(g *graph.Graph) {
 // is idempotent and leaves the pool usable — subsequent batches simply
 // run on worker 0 alone.
 func (p *Pool) Close() {
-	s := p.s
-	if s.spawned && !s.closed {
-		close(s.quit)
+	if p.spawned && !p.closed {
+		close(p.quit)
 	}
-	s.closed = true
+	p.closed = true
 }
 
 // ensureHelpers spawns the persistent helper goroutines on first use.
 func (p *Pool) ensureHelpers() {
-	s := p.s
-	if s.spawned {
+	if p.spawned {
 		return
 	}
-	s.spawned = true
-	for i := 1; i < s.workers; i++ {
-		go helperLoop(s)
+	p.spawned = true
+	for i := 1; i < p.workers; i++ {
+		go helperLoop(p)
 	}
 }
 
@@ -234,13 +203,13 @@ func (p *Pool) ensureHelpers() {
 // worker (and traversal) to impersonate for one round of the published
 // batch (or Run job). The helpers are interchangeable — identity lives in
 // the channel message, so every published index runs exactly once.
-func helperLoop(s *poolShared) {
+func helperLoop(p *Pool) {
 	for {
 		select {
-		case <-s.quit:
+		case <-p.quit:
 			return
-		case w := <-s.wake:
-			s.work(w)
+		case w := <-p.wake:
+			p.work(w)
 		}
 	}
 }
@@ -250,54 +219,53 @@ func helperLoop(s *poolShared) {
 // the panic is parked before the publisher can observe quiescence), then
 // wg.Done — a panicking worker still counts as finished, which is what
 // lets the publisher's wg.Wait/rethrow sequence terminate.
-func (s *poolShared) work(w int) {
-	defer s.wg.Done()
-	defer s.capture()
-	t := s.travs[w]
+func (p *Pool) work(w int) {
+	defer p.wg.Done()
+	defer p.capture()
+	t := p.travs[w]
 	switch {
-	case s.job != nil:
-		s.job(w, t)
-	case s.ballFn != nil:
-		s.runBalls(w, t)
+	case p.job != nil:
+		p.job(w, t)
+	case p.ballFn != nil:
+		p.runBalls(w, t)
 	default:
-		s.run(t)
+		p.run(t)
 	}
 }
 
 // run drains batch chunks via the atomic cursor until the batch is empty
 // (or the owner's cancellation probe fires).
-func (s *poolShared) run(t *Traversal) {
-	n := int64(len(s.verts))
-	chunk := s.batchChunk
+func (p *Pool) run(t *Traversal) {
+	n := int64(len(p.verts))
 	var evaluated int64
 	for {
-		if s.cancelFn != nil && s.cancelFn() {
+		if p.cancelFn != nil && p.cancelFn() {
 			break
 		}
 		faultinject.Here(faultinject.BatchChunk)
-		start := s.cursor.Add(chunk) - chunk
+		start := p.cursor.Add(batchChunk) - batchChunk
 		if start >= n {
 			break
 		}
-		end := start + chunk
+		end := start + batchChunk
 		if end > n {
 			end = n
 		}
-		for _, v := range s.verts[start:end] {
-			if s.alive == nil || s.alive.Contains(int(v)) {
+		for _, v := range p.verts[start:end] {
+			if p.alive == nil || p.alive.Contains(int(v)) {
 				evaluated++
 			}
 			switch {
-			case s.sampled:
-				s.out[v] = int32(t.HDegreeSampled(int(v), s.h, s.alive, s.sampleBudget, s.sampleSeed))
-			case s.cap > 0:
-				s.out[v] = int32(t.HDegreeCapped(int(v), s.h, s.alive, s.cap))
+			case p.sampled:
+				p.out[v] = int32(t.HDegreeSampled(int(v), p.h, p.alive, p.sampleBudget, p.sampleSeed))
+			case p.cap > 0:
+				p.out[v] = int32(t.HDegreeCapped(int(v), p.h, p.alive, p.cap))
 			default:
-				s.out[v] = int32(t.HDegree(int(v), s.h, s.alive))
+				p.out[v] = int32(t.HDegree(int(v), p.h, p.alive))
 			}
 		}
 	}
-	s.evaluated.Add(evaluated)
+	p.evaluated.Add(evaluated)
 }
 
 // BallFunc consumes one h-ball produced by Pool.Balls: worker is the pool
@@ -313,7 +281,7 @@ type BallFunc func(worker int, v int32, ball []int32, shellStart int)
 // Algorithm-5 peel: it computes Ball(v, h, alive) for every vertex in
 // verts, dynamically distributed over the pool's workers via the atomic
 // cursor, and hands each result to fn on the worker that produced it.
-// Small batches (under the pool's batchMin) run inline on worker 0, so
+// Small batches (under batchMin) run inline on worker 0, so
 // the frequent tiny frontiers of a bucket peel never pay a helper
 // wake-up. The owner's cancellation probe is polled between chunks, like
 // the h-degree kernels.
@@ -321,12 +289,11 @@ func (p *Pool) Balls(verts []int32, h int, alive *vset.Set, fn BallFunc) {
 	if len(verts) == 0 || fn == nil {
 		return
 	}
-	s := p.s
-	if s.workers == 1 || s.closed || len(verts) < s.batchMin {
-		t := s.travs[0]
+	if p.workers == 1 || p.closed || len(verts) < batchMin {
+		t := p.travs[0]
 		for i, v := range verts {
-			if int64(i)%s.batchChunk == 0 {
-				if s.cancelFn != nil && s.cancelFn() {
+			if i%batchChunk == 0 {
+				if p.cancelFn != nil && p.cancelFn() {
 					break
 				}
 				faultinject.Here(faultinject.BatchChunk)
@@ -337,48 +304,47 @@ func (p *Pool) Balls(verts []int32, h int, alive *vset.Set, fn BallFunc) {
 		return
 	}
 	p.ensureHelpers()
-	s.verts, s.h, s.alive, s.ballFn = verts, h, alive, fn
-	s.cursor.Store(0)
-	helpers := s.workers - 1
-	s.wg.Add(helpers)
+	p.verts, p.h, p.alive, p.ballFn = verts, h, alive, fn
+	p.cursor.Store(0)
+	helpers := p.workers - 1
+	p.wg.Add(helpers)
 	for i := 1; i <= helpers; i++ {
-		s.wake <- i
+		p.wake <- i
 	}
-	s.runBallsCaptured(0, s.travs[0])
-	s.wg.Wait()
-	s.verts, s.alive, s.ballFn = nil, nil, nil
-	s.rethrow()
+	p.runBallsCaptured(0, p.travs[0])
+	p.wg.Wait()
+	p.verts, p.alive, p.ballFn = nil, nil, nil
+	p.rethrow()
 }
 
 // runBallsCaptured is worker 0's drain: identical to the helpers' except
 // the capture guard parks a panic for rethrow instead of letting it skip
 // the wg.Wait below (which would leave helpers racing cleared state).
-func (s *poolShared) runBallsCaptured(worker int, t *Traversal) {
-	defer s.capture()
-	s.runBalls(worker, t)
+func (p *Pool) runBallsCaptured(worker int, t *Traversal) {
+	defer p.capture()
+	p.runBalls(worker, t)
 }
 
 // runBalls drains ball chunks via the atomic cursor until the batch is
 // empty (or the owner's cancellation probe fires).
-func (s *poolShared) runBalls(worker int, t *Traversal) {
-	n := int64(len(s.verts))
-	chunk := s.batchChunk
-	fn := s.ballFn
+func (p *Pool) runBalls(worker int, t *Traversal) {
+	n := int64(len(p.verts))
+	fn := p.ballFn
 	for {
-		if s.cancelFn != nil && s.cancelFn() {
+		if p.cancelFn != nil && p.cancelFn() {
 			break
 		}
 		faultinject.Here(faultinject.BatchChunk)
-		start := s.cursor.Add(chunk) - chunk
+		start := p.cursor.Add(batchChunk) - batchChunk
 		if start >= n {
 			break
 		}
-		end := start + chunk
+		end := start + batchChunk
 		if end > n {
 			end = n
 		}
-		for _, v := range s.verts[start:end] {
-			ball, shell := t.Ball(int(v), s.h, s.alive)
+		for _, v := range p.verts[start:end] {
+			ball, shell := t.Ball(int(v), p.h, p.alive)
 			fn(worker, v, ball, shell)
 		}
 	}
@@ -387,7 +353,7 @@ func (s *poolShared) runBalls(worker int, t *Traversal) {
 // Visits returns the cumulative vertex-visit count across all workers.
 func (p *Pool) Visits() int64 {
 	var total int64
-	for _, t := range p.s.travs {
+	for _, t := range p.travs {
 		total += t.Visits()
 	}
 	return total
@@ -397,7 +363,7 @@ func (p *Pool) Visits() int64 {
 // across all workers (the approximate mode's "samples drawn").
 func (p *Pool) Expansions() int64 {
 	var total int64
-	for _, t := range p.s.travs {
+	for _, t := range p.travs {
 		total += t.Expansions()
 	}
 	return total
@@ -407,7 +373,7 @@ func (p *Pool) Expansions() int64 {
 // budget subsampled across all workers.
 func (p *Pool) Truncations() int64 {
 	var total int64
-	for _, t := range p.s.travs {
+	for _, t := range p.travs {
 		total += t.Truncations()
 	}
 	return total
@@ -415,7 +381,7 @@ func (p *Pool) Truncations() int64 {
 
 // ResetVisits zeroes all worker counters.
 func (p *Pool) ResetVisits() {
-	for _, t := range p.s.travs {
+	for _, t := range p.travs {
 		t.ResetVisits()
 	}
 }
@@ -423,7 +389,7 @@ func (p *Pool) ResetVisits() {
 // Traversal returns the dedicated traversal of worker i (0 ≤ i < Workers()).
 // Worker 0's traversal doubles as the sequential scratch for the
 // single-threaded parts of the algorithms.
-func (p *Pool) Traversal(i int) *Traversal { return p.s.travs[i] }
+func (p *Pool) Traversal(i int) *Traversal { return p.travs[i] }
 
 // Run invokes fn(worker, traversal) concurrently on every pool worker —
 // once per worker, each with its own index and dedicated Traversal — and
@@ -437,29 +403,28 @@ func (p *Pool) Traversal(i int) *Traversal { return p.s.travs[i] }
 // work and Run jobs competing for a worker: fn must not invoke the pool's
 // batch kernels (worker 0 would deadlock waiting on itself).
 func (p *Pool) Run(fn func(worker int, t *Traversal)) {
-	s := p.s
-	if s.workers == 1 || s.closed {
-		fn(0, s.travs[0])
+	if p.workers == 1 || p.closed {
+		fn(0, p.travs[0])
 		return
 	}
 	p.ensureHelpers()
-	s.job = fn
-	helpers := s.workers - 1
-	s.wg.Add(helpers)
+	p.job = fn
+	helpers := p.workers - 1
+	p.wg.Add(helpers)
 	for i := 1; i <= helpers; i++ {
-		s.wake <- i
+		p.wake <- i
 	}
-	s.jobCaptured(0, s.travs[0])
-	s.wg.Wait()
-	s.job = nil
-	s.rethrow()
+	p.jobCaptured(0, p.travs[0])
+	p.wg.Wait()
+	p.job = nil
+	p.rethrow()
 }
 
 // jobCaptured runs worker 0's share of a Run job under the capture
 // guard, mirroring runBallsCaptured.
-func (s *poolShared) jobCaptured(w int, t *Traversal) {
-	defer s.capture()
-	s.job(w, t)
+func (p *Pool) jobCaptured(w int, t *Traversal) {
+	defer p.capture()
+	p.job(w, t)
 }
 
 // HDegrees computes deg^h_{G[alive]}(v) for every vertex in verts, writing
@@ -494,10 +459,9 @@ func (p *Pool) HDegreesCapped(verts []int32, h int, alive *vset.Set, cap int, ou
 // decides who computes an estimate, never what it is. budget ≤ 0 degrades
 // to the exact batch kernel. Returns the number of live sources evaluated.
 func (p *Pool) HDegreesSampled(verts []int32, h int, alive *vset.Set, budget int, seed uint64, out []int32) int64 {
-	s := p.s
-	s.sampled, s.sampleBudget, s.sampleSeed = true, budget, seed
+	p.sampled, p.sampleBudget, p.sampleSeed = true, budget, seed
 	evaluated := p.batch(verts, h, alive, out, 0)
-	s.sampled, s.sampleBudget, s.sampleSeed = false, 0, 0
+	p.sampled, p.sampleBudget, p.sampleSeed = false, 0, 0
 	return evaluated
 }
 
@@ -505,13 +469,12 @@ func (p *Pool) batch(verts []int32, h int, alive *vset.Set, out []int32, cap int
 	if len(verts) == 0 {
 		return 0
 	}
-	s := p.s
-	if s.workers == 1 || s.closed || len(verts) < s.batchMin {
-		t := s.travs[0]
+	if p.workers == 1 || p.closed || len(verts) < batchMin {
+		t := p.travs[0]
 		var evaluated int64
 		for i, v := range verts {
-			if int64(i)%s.batchChunk == 0 {
-				if s.cancelFn != nil && s.cancelFn() {
+			if i%batchChunk == 0 {
+				if p.cancelFn != nil && p.cancelFn() {
 					break
 				}
 				faultinject.Here(faultinject.BatchChunk)
@@ -520,8 +483,8 @@ func (p *Pool) batch(verts []int32, h int, alive *vset.Set, out []int32, cap int
 				evaluated++
 			}
 			switch {
-			case s.sampled:
-				out[v] = int32(t.HDegreeSampled(int(v), h, alive, s.sampleBudget, s.sampleSeed))
+			case p.sampled:
+				out[v] = int32(t.HDegreeSampled(int(v), h, alive, p.sampleBudget, p.sampleSeed))
 			case cap > 0:
 				out[v] = int32(t.HDegreeCapped(int(v), h, alive, cap))
 			default:
@@ -531,34 +494,34 @@ func (p *Pool) batch(verts []int32, h int, alive *vset.Set, out []int32, cap int
 		return evaluated
 	}
 	p.ensureHelpers()
-	s.verts, s.h, s.alive, s.out, s.cap = verts, h, alive, out, cap
-	s.cursor.Store(0)
-	s.evaluated.Store(0)
-	helpers := s.workers - 1
-	s.wg.Add(helpers)
+	p.verts, p.h, p.alive, p.out, p.cap = verts, h, alive, out, cap
+	p.cursor.Store(0)
+	p.evaluated.Store(0)
+	helpers := p.workers - 1
+	p.wg.Add(helpers)
 	for i := 1; i <= helpers; i++ {
-		s.wake <- i
+		p.wake <- i
 	}
-	s.runCaptured(s.travs[0])
-	s.wg.Wait()
-	s.verts, s.alive, s.out = nil, nil, nil
-	evaluated := s.evaluated.Load()
-	s.rethrow()
+	p.runCaptured(p.travs[0])
+	p.wg.Wait()
+	p.verts, p.alive, p.out = nil, nil, nil
+	evaluated := p.evaluated.Load()
+	p.rethrow()
 	return evaluated
 }
 
 // runCaptured is worker 0's h-degree drain under the capture guard,
 // mirroring runBallsCaptured.
-func (s *poolShared) runCaptured(t *Traversal) {
-	defer s.capture()
-	s.run(t)
+func (p *Pool) runCaptured(t *Traversal) {
+	defer p.capture()
+	p.run(t)
 }
 
 // HDegreesAll computes the h-degree of every vertex of the graph (alive
 // mask applied) and returns a fresh slice indexed by vertex id. Dead
 // vertices report 0.
 func (p *Pool) HDegreesAll(h int, alive *vset.Set) []int32 {
-	n := p.s.g.NumVertices()
+	n := p.g.NumVertices()
 	verts := make([]int32, 0, n)
 	for v := 0; v < n; v++ {
 		if alive == nil || alive.Contains(v) {

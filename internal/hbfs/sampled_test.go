@@ -99,8 +99,9 @@ func TestSampledDeterminismAndSeedSensitivity(t *testing.T) {
 // TestPoolSampledBitIdenticalAcrossWorkers is the kernel half of the
 // approximate mode's determinism contract: Pool.HDegreesSampled must fill
 // bit-identical output arrays at any worker count, and match the serial
-// single-traversal loop. Batch tuning is forced low so multi-worker pools
-// genuinely fan out.
+// single-traversal loop. The 600-vertex batch is past batchMin, so
+// multi-worker pools genuinely fan out, and 600 is not a multiple of
+// batchChunk, so the last claimed chunk is a tail.
 func TestPoolSampledBitIdenticalAcrossWorkers(t *testing.T) {
 	g := gen.BarabasiAlbert(600, 4, 31)
 	n := g.NumVertices()
@@ -117,7 +118,6 @@ func TestPoolSampledBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		p := NewPool(g, workers)
-		p.SetTuning(2, 8)
 		out := make([]int32, n)
 		p.HDegreesSampled(verts, h, nil, budget, seed, out)
 		for v := range want {

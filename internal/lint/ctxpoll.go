@@ -26,7 +26,7 @@ var CtxPoll = &Analyzer{
 // loop.
 var hbfsAccountingFuncs = map[string]bool{
 	"Visits": true, "ResetVisits": true, "AddVisits": true, "Reset": true,
-	"Workers": true, "Traversal": true, "SetTuning": true, "SetCancel": true,
+	"Workers": true, "Traversal": true, "SetCancel": true,
 	"Expansions": true, "Truncations": true, "Close": true, "NewPool": true,
 	"NewTraversal": true, "ForVertex": true,
 }
