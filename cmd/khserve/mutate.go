@@ -64,12 +64,13 @@ func (e mutateEdit) toEdit() (khcore.EdgeEdit, error) {
 
 // handleMutate applies one edit or one batch. Validation is
 // all-or-nothing (the Maintainer contract): any malformed edit —
-// duplicate insert, delete of a missing edge, self-loop — rejects the
-// whole batch with 400 before the graph changes. A deadline expiry
-// mid-repair leaves the edge set changed but the published indices
-// describing the pre-edit graph; the repair is owed (healthz reports
-// Stale) and folds into the next mutation, so readers stay consistent —
-// the engine fleet is only rebound after a completed repair.
+// duplicate insert, delete of a missing edge, self-loop, a vertex id at
+// or past the growth bound — rejects the whole batch with 400 before the
+// graph changes. A deadline expiry mid-repair leaves the edge set
+// changed but the published indices describing the pre-edit graph; the
+// repair is owed (healthz reports Stale) and folds into the next
+// mutation, so readers stay consistent — the engine fleet is only
+// rebound after a completed repair.
 func (s *server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel, err := s.requestCtx(r)
 	if err != nil {
@@ -110,6 +111,16 @@ func (s *server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// fleet rebind below must not interleave with another mutation's.
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
+	// Vertex growth is bounded by the request itself: a batch attaches at
+	// most two new vertices per edit, so an id at or past n + 2·len(edits)
+	// would only make the CSR splice allocate vertices no edit touches.
+	limit := s.maint.Graph().NumVertices() + 2*len(edits)
+	for _, e := range edits {
+		if e.U >= limit || e.V >= limit {
+			writeErr(w, fmt.Errorf("%w: edge {%d,%d}: vertex ids must be below %d (vertex count + 2 per edit)", errBadRequest, e.U, e.V, limit))
+			return
+		}
+	}
 	err = s.maint.ApplyBatch(ctx, edits)
 	s.stale.Store(s.maint.Stale())
 	if err != nil {

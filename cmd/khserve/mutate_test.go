@@ -32,10 +32,11 @@ func post(t *testing.T, h http.Handler, url, body string, out any) *http.Respons
 }
 
 // TestMutateSingleAndBatch drives the full mutation loop: a single
-// insert, then a batch delete that undoes it, checking after each step
-// that the served exact decomposition is bit-identical to a from-scratch
-// run over the server's current graph, that the graph version advances,
-// and that /healthz reflects the mutated edge count.
+// insert, then a batch delete that undoes it, then an insert naming the
+// next vertex id, checking after each step that the served exact
+// decomposition is bit-identical to a from-scratch run over the server's
+// current graph, that the graph version advances, and that /healthz
+// reflects the mutated edge count.
 func TestMutateSingleAndBatch(t *testing.T) {
 	s, g := testServer(t, 2)
 	h := s.handler()
@@ -74,6 +75,17 @@ func TestMutateSingleAndBatch(t *testing.T) {
 		t.Fatalf("delete response: %+v", mr)
 	}
 	assertServedExact(t, s, h)
+
+	// Id n is inside the growth bound and adds one vertex.
+	n := g.NumVertices()
+	resp = post(t, h, "/mutate", `{"op":"insert","u":0,"v":`+itoa(n)+`}`, &mr)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("insert to id n: status %d", resp.StatusCode)
+	}
+	if mr.Vertices != n+1 || mr.GraphVersion != 4 {
+		t.Fatalf("insert to id n response: %+v", mr)
+	}
+	assertServedExact(t, s, h)
 }
 
 // assertServedExact checks /decompose?h=<mutateH> against a from-scratch
@@ -96,12 +108,14 @@ func assertServedExact(t *testing.T, s *server, h http.Handler) {
 }
 
 // TestMutateErrors pins the 400 contract: malformed JSON, unknown ops,
-// duplicate inserts, deletes of missing edges and ambiguous bodies all
-// reject with code "bad_request" before the graph changes.
+// duplicate inserts, deletes of missing edges, ambiguous bodies and ids
+// past the growth bound all reject with code "bad_request" before the
+// graph changes.
 func TestMutateErrors(t *testing.T) {
 	s, g := testServer(t, 1)
 	h := s.handler()
 	a, b := g.Neighbors(0)[0], 0 // {0, a} is an edge
+	n := g.NumVertices()
 
 	cases := []struct {
 		name, body string
@@ -115,6 +129,10 @@ func TestMutateErrors(t *testing.T) {
 		{"id above int32", `{"op":"insert","u":1,"v":2147483648}`},
 		// a + 2^32 would wrap onto a, deleting the real edge {b, a}.
 		{"id wrapping onto an edge", `{"op":"delete","u":` + itoa(b) + `,"v":` + itoa(int(a)+1<<32) + `}`},
+		// Growth is bounded by n + 2 per edit: the splice would otherwise
+		// allocate every vertex up to the id.
+		{"id past the growth bound", `{"op":"insert","u":0,"v":` + itoa(n+1000) + `}`},
+		{"batch reaching n+4", `{"edits":[{"op":"insert","u":0,"v":` + itoa(n) + `},{"op":"insert","u":1,"v":` + itoa(n+4) + `}]}`},
 	}
 	for _, c := range cases {
 		var eb errorBody
@@ -125,7 +143,7 @@ func TestMutateErrors(t *testing.T) {
 	}
 	var hb healthzResponse
 	get(t, h, "/healthz", &hb)
-	if hb.GraphVersion != 1 || hb.Edges != g.NumEdges() {
+	if hb.GraphVersion != 1 || hb.Edges != g.NumEdges() || s.graph().NumVertices() != n {
 		t.Fatalf("rejected mutations changed the graph: %+v", hb)
 	}
 }

@@ -40,20 +40,14 @@ import (
 // stay sound throughout. Stale reports the condition; Refresh repairs
 // the pending region without applying new edits.
 type Maintainer struct {
-	h    int
-	opts Options
-	g    *graph.Graph
-	eng  *Engine
-	res  Result // reusable output buffer for full-run fallbacks
-	core []int32
-	n    int
-	// incremental gates the localized-repair path; SetIncremental(false)
-	// forces every update down the full re-decomposition fallback (the
-	// rerun-per-edit baseline of BENCH_incr.json, and an operational
-	// escape hatch).
-	incremental bool
-	finder      *incr.Finder
-	lastStats   Stats
+	h         int
+	opts      Options
+	g         *graph.Graph
+	eng       *Engine
+	res       Result // reusable output buffer for full-run fallbacks
+	core      []int32
+	finder    *incr.Finder
+	lastStats Stats
 
 	// Pending-repair state of a canceled or panicked update. stale is
 	// raised while an update's repair is in flight and cleared on
@@ -96,13 +90,11 @@ func NewMaintainerCtx(ctx context.Context, g *graph.Graph, h int, opts Options) 
 	opts.H = h
 	opts.Algorithm = HLBUB
 	m := &Maintainer{
-		h:           h,
-		opts:        opts,
-		g:           g,
-		n:           g.NumVertices(),
-		incremental: true,
-		finder:      incr.NewFinder(),
-		overlay:     make(map[[2]int32]bool),
+		h:       h,
+		opts:    opts,
+		g:       g,
+		finder:  incr.NewFinder(),
+		overlay: make(map[[2]int32]bool),
 	}
 	m.eng = NewEngine(g, opts.Workers)
 	if err := m.eng.DecomposeIntoCtx(ctx, &m.res, opts); err != nil {
@@ -130,11 +122,6 @@ func (m *Maintainer) Close() { m.eng.Close() }
 // update, which folds the pending region into its own repair) restores
 // exactness for the current graph.
 func (m *Maintainer) Stale() bool { return m.stale }
-
-// SetIncremental enables or disables the localized-repair path. With it
-// disabled every update runs a full (warm, seeded when sound)
-// re-decomposition — the rerun-per-edit baseline. Enabled by default.
-func (m *Maintainer) SetIncremental(on bool) { m.incremental = on }
 
 // LastStats returns the work report of the most recent update (or of the
 // initial decomposition when no update has run). Stats.Incr carries the
@@ -224,7 +211,7 @@ func (m *Maintainer) ApplyBatch(ctx context.Context, edits []incr.Edit) (err err
 	}
 	start := time.Now()
 	wasStale, prevPending := m.stale, len(m.pendingEdits)
-	newN := m.n
+	newN := m.g.NumVertices()
 	inserts, deletes := 0, 0
 	for i, e := range edits {
 		if m.editSkip[i] {
@@ -255,10 +242,9 @@ func (m *Maintainer) ApplyBatch(ctx context.Context, edits []incr.Edit) (err err
 	// graph, the one edge set batches are validated against. Every later
 	// phase is interruptible; the pending record is what keeps an
 	// interruption sound.
-	m.n = newN
 	m.stale = true
 	m.pendingEdits = append(m.pendingEdits, edits...)
-	m.splice(edits)
+	m.splice(edits, newN)
 	m.eng.Reset(m.g)
 	for len(m.core) < newN {
 		m.core = append(m.core, 0)
@@ -283,25 +269,19 @@ func (m *Maintainer) ApplyBatch(ctx context.Context, edits []incr.Edit) (err err
 
 	closureStart := time.Now()
 	var region, boundary []int32
-	localized := m.incremental
+	if err := f.CloseRegionCtx(ctx, m.g, m.h, m.core); err != nil {
+		m.deferPending(f)
+		return CanceledError(ctx)
+	}
+	// Fallback when the region stops being local: past half the graph a
+	// full warm run does less work than region bookkeeping saves. The
+	// closure aborts itself at the same threshold (NonLocal), in which
+	// case the region is incomplete and must not be repaired.
+	localized := !f.NonLocal()
 	if localized {
-		if err := f.CloseRegionCtx(ctx, m.g, m.h, m.core); err != nil {
-			m.deferPending(f)
-			return CanceledError(ctx)
-		}
-		// Fallback when the region stops being local: past half the graph
-		// a full warm run does less work than region bookkeeping saves.
-		// The closure aborts itself at the same threshold (NonLocal), in
-		// which case the region is incomplete and must not be repaired.
-		if f.NonLocal() {
-			localized = false
-		} else {
-			region = f.Region()
-			boundary = f.Boundary()
-			if 2*(len(region)+len(boundary)) >= newN {
-				localized = false
-			}
-		}
+		region = f.Region()
+		boundary = f.Boundary()
+		localized = 2*(len(region)+len(boundary)) < newN
 	}
 	closureDur := time.Since(closureStart)
 
@@ -457,13 +437,13 @@ func (m *Maintainer) normalize(u, v int) ([2]int32, error) {
 	return [2]int32{int32(u), int32(v)}, nil
 }
 
-// splice rebinds m.g to the post-batch graph via graph.Splice — a linear
-// CSR merge instead of an O(m log m) rebuild, so the graph-update cost
-// of a small batch is memory-bandwidth bound. The validated editKeys
-// satisfy Splice's preconditions: normalized, duplicate-free, inserts
-// absent from and deletes present in m.g (already-applied retry edits
-// are marked skip and excluded).
-func (m *Maintainer) splice(edits []incr.Edit) {
+// splice rebinds m.g to the post-batch graph of n vertices via
+// graph.Splice — a linear CSR merge instead of an O(m log m) rebuild, so
+// the graph-update cost of a small batch is memory-bandwidth bound. The
+// validated editKeys satisfy Splice's preconditions: normalized,
+// duplicate-free, inserts absent from and deletes present in m.g
+// (already-applied retry edits are marked skip and excluded).
+func (m *Maintainer) splice(edits []incr.Edit, n int) {
 	// A batch may legally revisit a key (insert then delete the same
 	// pair); Splice wants net effects, so cancel such pairs out. A valid
 	// sequence alternates per key, leaving a net of -1, 0 or +1.
@@ -493,5 +473,5 @@ func (m *Maintainer) splice(edits []incr.Edit) {
 		net[k] = 0 // each key contributes once
 	}
 	m.spliceIns, m.spliceDel = ins, del
-	m.g = m.g.Splice(m.n, ins, del)
+	m.g = m.g.Splice(n, ins, del)
 }

@@ -137,8 +137,7 @@ const (
 	// PowerUB is the default Algorithm 5 power-graph bound.
 	PowerUB = core.PowerUB
 	// HDegreeUB substitutes the raw h-degree: no Algorithm 5 pass, at the
-	// cost of looser partitions. The bench-sampling ablation quantifies
-	// the trade.
+	// cost of looser partitions. `khexp table5` quantifies the trade.
 	HDegreeUB = core.HDegreeUB
 )
 
