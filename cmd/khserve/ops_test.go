@@ -227,29 +227,38 @@ func TestDegradeNeverOptsOut(t *testing.T) {
 }
 
 // TestDegradationUnderRealDeadline drives the full loop without seeded
-// estimates: warm the tracker with real exact runs, then request a
-// deadline a fraction of the observed latency and expect a degraded 200
-// rather than a 504. Skipped if the graph decomposes too fast to squeeze.
+// estimates: warm both tiers' trackers with real runs, then request a
+// deadline inside the window the two estimates leave — under the 1.5×
+// exact estimate, so the request degrades, and well above the
+// approximate estimate, so the fallback finishes in time — and expect a
+// degraded 200 rather than a 504. Skipped only when the window is empty.
 func TestDegradationUnderRealDeadline(t *testing.T) {
 	s, _ := testServer(t, 1)
 	h := s.handler()
-	var warm decomposeResponse
-	for i := 0; i < 2; i++ {
-		if resp := get(t, h, "/decompose?h=3&cache=never", &warm); resp.StatusCode != http.StatusOK {
-			t.Fatalf("warm-up: status %d", resp.StatusCode)
+	for _, tier := range []string{"", "&mode=approx"} {
+		var warm decomposeResponse
+		for i := 0; i < 2; i++ {
+			if resp := get(t, h, "/decompose?h=3&cache=never"+tier, &warm); resp.StatusCode != http.StatusOK {
+				t.Fatalf("warm-up%s: status %d", tier, resp.StatusCode)
+			}
 		}
 	}
-	est, ok := s.lat.estimate(3, khcore.HLBUB, false)
-	if !ok {
-		t.Fatal("warm-up did not seed the tracker")
+	exact, ok := s.lat.estimate(3, khcore.HLBUB, false)
+	approx, ok2 := s.lat.estimate(3, khcore.HLBUB, true)
+	if !ok || !ok2 {
+		t.Fatal("warm-up did not seed both trackers")
 	}
-	if est < 2*time.Millisecond {
-		t.Skipf("exact h=3 runs in %v; no deadline can squeeze it reliably", est)
+	// 1.4× sits under maybeDegrade's 1.5× threshold; the fallback gets at
+	// least 4× its own estimate and never less than 2 ms of slack.
+	timeout := exact + exact*2/5
+	if floor := max(4*approx, approx+2*time.Millisecond); timeout < floor {
+		t.Skipf("exact h=3 estimate %v, approximate %v: no deadline both degrades and fits the fallback", exact, approx)
 	}
 	var body decomposeResponse
-	resp := get(t, h, fmt.Sprintf("/decompose?h=3&timeout=%s&cache=never", est/2), &body)
+	resp := get(t, h, fmt.Sprintf("/decompose?h=3&timeout=%s&cache=never", timeout), &body)
 	if resp.StatusCode != http.StatusOK || !body.Degraded {
-		t.Fatalf("squeezed request: status %d degraded=%v", resp.StatusCode, body.Degraded)
+		t.Fatalf("squeezed request (timeout %v, exact est %v, approx est %v): status %d degraded=%v",
+			timeout, exact, approx, resp.StatusCode, body.Degraded)
 	}
 }
 

@@ -88,15 +88,14 @@ const (
 	HDegreeUB
 )
 
-// defaultLazyCapSlack is the default headroom the lazy re-computation in
-// coreDecomp adds above the frontier before truncating an h-degree count:
-// a vertex popped at level k is counted up to k+1+slack. Zero maximizes
-// laziness but re-pops a capped vertex at every level; a little slack lets
-// vertices whose h-degree sits just above the frontier come out exact, so
-// they ride the O(1) decrement path instead of paying another truncated
-// BFS. HLB, HBZ and the localized repair use it as is; HLBUB replaces it
-// with adaptiveSlack once its upper-bound histogram is in hand.
-const defaultLazyCapSlack = 16
+// minHeadroom is the floor of the headroom every truncated h-degree count
+// adds above the level it must decide: a vertex popped at level k is
+// counted up to k+1+headroom(k) (see partitionSolver.headroom). Zero
+// headroom maximizes laziness but re-pops a capped vertex at every level;
+// headroom lets vertices whose h-degree sits just above the frontier come
+// out exact, so they ride the O(1) decrement path instead of paying
+// another truncated BFS.
+const minHeadroom = 16
 
 // Options configures Decompose.
 type Options struct {
@@ -373,14 +372,14 @@ type Engine struct {
 	// set.
 	parallel bool
 
-	// fixedSlack, when positive, pins the lazy-recount slack of every run
-	// (the adaptive HLBUB slack included). It is a test seam: the
-	// ImproveLB wave tests use slack 1 to reach the capped-dip path.
+	// fixedSlack, when positive, pins the headroom of every truncated
+	// count to one constant at every level, overriding the headroom rule.
+	// It is a test seam: the ImproveLB wave tests use 1 to reach the
+	// capped-dip path.
 	fixedSlack int
 
 	// Per-run state.
 	h     int
-	slack int
 	opts  Options
 	stats Stats
 	// seedLB optionally supplies an extra per-vertex lower bound on the
@@ -624,25 +623,15 @@ func (e *Engine) DecomposeIntoCtx(ctx context.Context, res *Result, opts Options
 func (e *Engine) beginRun(opts Options) {
 	e.h = opts.H
 	e.opts = opts
-	e.slack = e.baseSlack()
 	e.stats = Stats{}
 	e.pool.ResetVisits()
 	s0 := e.sv[0]
-	s0.bind(e.g, e.core, e.h, e.slack, e.pool, &e.cancel)
+	s0.bind(e.g, e.core, e.h, e.fixedSlack, e.pool, &e.cancel)
 	s0.stats = Stats{}
 	s0.alive.Fill()
 	for i := range e.core {
 		e.core[i] = 0
 	}
-}
-
-// baseSlack is the lazy-recount slack a run starts from: the default, or
-// the fixedSlack test seam.
-func (e *Engine) baseSlack() int {
-	if e.fixedSlack > 0 {
-		return e.fixedSlack
-	}
-	return defaultLazyCapSlack
 }
 
 func (e *Engine) clearSeeds() {

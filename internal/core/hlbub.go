@@ -112,20 +112,6 @@ func (e *Engine) planIntervals(ub, lb2 []int32, solvers int) {
 	slices.Reverse(vals)
 	e.ubvals = vals
 
-	// With the UB distribution finally in hand, derive the lazy-recount
-	// slack from it: the mean number of vertices per distinct UB value
-	// estimates how many re-pops a capped vertex survives per level, so
-	// dense spectra (many vertices per value — the slack pays for itself
-	// quickly) get more headroom than sparse ones. The sequential solver
-	// was bound in beginRun with the provisional default, so its slack is
-	// re-pointed here; the parallel solvers bind later and pick up e.slack
-	// naturally. A slack pinned through the fixedSlack test seam is left
-	// alone.
-	if e.fixedSlack == 0 {
-		e.slack = adaptiveSlack(len(ub), len(vals)-1)
-		e.sv[0].slack = e.slack
-	}
-
 	e.intervals = e.intervals[:0]
 	if step := e.opts.PartitionSize; step > 0 {
 		for j := 0; j < len(vals)-1; {
@@ -186,30 +172,6 @@ func (e *Engine) planIntervals(ub, lb2 []int32, solvers int) {
 		remaining -= acc
 		j = jn
 	}
-}
-
-// adaptiveSlack derives the lazy-recount slack from the upper-bound
-// spectrum: n vertices spread over `distinct` distinct UB values average
-// n/distinct vertices per peeling level, which is how far above the
-// frontier a capped vertex's true h-degree plausibly sits — and therefore
-// how much headroom makes the recount come out exact instead of truncated
-// again one level later. Clamped to [4, 64]: below 4 the re-pop churn
-// dominates on any graph, above 64 the truncation stops saving anything
-// over a full count — the slack sweep in BENCH_parallel.json showed the
-// cost surface is flat in the middle and only punishes the extremes,
-// which is exactly what the clamp removes.
-func adaptiveSlack(n, distinct int) int {
-	if distinct < 1 {
-		distinct = 1
-	}
-	s := n / distinct
-	if s < 4 {
-		return 4
-	}
-	if s > 64 {
-		return 64
-	}
-	return s
 }
 
 // runIntervalsSequential resolves the planned intervals top-down inside
@@ -290,7 +252,7 @@ func (e *Engine) runIntervalsParallel(ub, lb2 []int32) {
 		// nil pool: inside a Run job the batch kernels are off-limits
 		// (worker 0 would deadlock); inter-interval concurrency replaces
 		// intra-batch concurrency here.
-		s.bind(e.g, e.core, e.h, e.slack, nil, &e.cancel)
+		s.bind(e.g, e.core, e.h, e.fixedSlack, nil, &e.cancel)
 		s.bcast = e.bcast
 	}
 	e.parUB, e.parLB2 = ub, lb2

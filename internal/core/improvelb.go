@@ -18,8 +18,8 @@ package core
 // that dips below kmin becomes a suspect instead: it is parked on
 // s.suspects until the eviction stack runs dry, and then each suspect is
 // re-counted once with the threshold kernel (HDegreeAtLeast semantics,
-// capped at kmin+slack). Suspects that fail join the stack, and the waves
-// repeat until both lists are empty. Deferring the re-count is sound
+// capped at kmin+headroom(kmin)). Suspects that fail join the stack, and
+// the waves repeat until both lists are empty. Deferring the re-count is sound
 // because every eviction is justified on its own: the alive set always
 // contains every core the partition settles, so a vertex whose h-degree
 // inside it is below kmin lies outside all of them, and h-degrees only
@@ -52,7 +52,7 @@ func (s *partitionSolver) improveLB(part []int32, kmin, kmax int) {
 	// Step 1: h-degrees inside G[V[kmin]] (count-only sweep — parallel over
 	// the pool for the sequential solver, single-traversal inside a
 	// concurrent interval job — truncated above the partition's top level).
-	capd := kmax + 1 + s.slack
+	capd := kmax + 1 + s.headroom(kmax)
 	s.stats.HDegreeComputations += s.hdegCappedBatch(part, capd)
 	for _, v := range part {
 		if int(s.deg[v]) >= capd {
@@ -97,6 +97,7 @@ func (s *partitionSolver) improveLB(part []int32, kmin, kmax int) {
 			s.inQueue.Add(int(v))
 		}
 	}
+	recap := kmin + s.headroom(kmin)
 	ops := 0
 waves:
 	for {
@@ -135,10 +136,10 @@ waves:
 			if ops++; ops&cancelCheckMask == 0 && s.cancel.stop() {
 				break waves
 			}
-			d := t.HDegreeCapped(int(u), s.h, s.alive, kmin+s.slack)
+			d := t.HDegreeCapped(int(u), s.h, s.alive, recap)
 			s.stats.HDegreeComputations++
 			s.deg[u] = int32(d)
-			if d < kmin+s.slack {
+			if d < recap {
 				s.capped.Remove(int(u)) // the count is exact now
 			}
 			if d >= kmin {

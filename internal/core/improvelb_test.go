@@ -50,7 +50,7 @@ func suspectCorpus(t *testing.T) []suspectGraph {
 }
 
 // suspectEngine and suspectOpts drive ImproveLB's re-verification waves
-// hard: the engine's lazy-recount slack is pinned to 1, which truncates
+// hard: the engine's recount headroom is pinned to 1, which truncates
 // nearly every partition member's h-degree just above kmax+1, so
 // decrements drag many capped entries below kmin, and small fixed
 // partitions make many cleaning passes per run.
@@ -72,7 +72,7 @@ func suspectOpts(h int) Options {
 // exactly as the serial and the concurrent schedule did.
 func waveRecounts(e *Engine) int64 {
 	s := newPartitionSolver()
-	s.bind(e.g, e.core, e.h, e.slack, nil, &e.cancel)
+	s.bind(e.g, e.core, e.h, e.fixedSlack, nil, &e.cancel)
 	s.t = e.pool.Traversal(0)
 	var recounts int64
 	for _, iv := range e.intervals {
@@ -197,19 +197,22 @@ func TestImproveLBCancelMidCascade(t *testing.T) {
 }
 
 // TestHLBUBCounterGolden pins the deterministic 1-worker work counters of
-// HLBUB on two datasets, so a change that loses (or gains) work shows up
+// HLBUB on four datasets, so a change that loses (or gains) work shows up
 // as a failing test rather than as drift in a benchmark record. caAs
-// exercises ImproveLB's capped-dip waves; jazz has none. A change that
-// moves these numbers on purpose updates them here, with the before and
-// after recorded in CHANGES.md.
+// exercises ImproveLB's capped-dip waves; jazz has none. FBco h=2 and
+// caHe h=3 have cores well past k = 128, where the recount headroom grows
+// with k. A change that moves these numbers on purpose updates them here,
+// with the before and after recorded in CHANGES.md.
 func TestHLBUBCounterGolden(t *testing.T) {
 	golden := []struct {
 		name                      string
 		h                         int
 		visits, hdegs, decrements int64
 	}{
-		{"jazz", 2, 188208, 2094, 19239},
-		{"caAs", 2, 1481249, 16528, 157959},
+		{"jazz", 2, 195013, 2017, 19292},
+		{"caAs", 2, 1434676, 17120, 158614},
+		{"FBco", 2, 3834124, 12019, 408018},
+		{"caHe", 3, 8343732, 21287, 621076},
 	}
 	for _, c := range golden {
 		g, err := datasets.Load(c.name)

@@ -43,11 +43,11 @@ func (e *Engine) repairRegionCtx(ctx context.Context, cores []int32, region, bou
 		return 0, CanceledError(ctx)
 	}
 	opts = opts.withDefaults()
-	e.h, e.opts, e.slack = h, opts, e.baseSlack()
+	e.h, e.opts = h, opts
 	e.stats = Stats{}
 	e.pool.ResetVisits()
 	s := e.sv[0]
-	s.bind(e.g, cores, h, e.slack, e.pool, &e.cancel)
+	s.bind(e.g, cores, h, e.fixedSlack, e.pool, &e.cancel)
 	s.stats = Stats{}
 	s.alive.Fill()
 	// Snapshot the region's pre-edit indices: the undo log for a canceled

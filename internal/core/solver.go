@@ -35,9 +35,11 @@ type partitionSolver struct {
 	// core is the engine's shared output array. Solvers write disjoint
 	// entries: a vertex is settled by the one interval containing its core
 	// index.
-	core  []int32
-	h     int
-	slack int // lazy-recount headroom (see defaultLazyCapSlack)
+	core []int32
+	h    int
+	// pin, when positive, replaces headroom(k) at every level (the
+	// Engine.fixedSlack test seam); zero applies the headroom rule.
+	pin   int
 	stats Stats
 	// cancel is the engine's per-run cancellation broadcast; the peeling
 	// and cleaning loops poll it, amortized by cancelCheckMask.
@@ -113,12 +115,12 @@ func newPartitionSolver() *partitionSolver {
 // every set and sizing every array, reusing capacity whenever it suffices.
 // pool is non-nil only for the sequential solver (see the field comment);
 // when it is set the solver also borrows the pool's worker-0 traversal.
-func (s *partitionSolver) bind(g *graph.Graph, core []int32, h, slack int, pool *hbfs.Pool, cancel *cancelState) {
+func (s *partitionSolver) bind(g *graph.Graph, core []int32, h, pin int, pool *hbfs.Pool, cancel *cancelState) {
 	n := g.NumVertices()
 	s.g = g
 	s.core = core
 	s.h = h
-	s.slack = slack
+	s.pin = pin
 	s.pool = pool
 	s.cancel = cancel
 	s.bcast = nil // re-attached per fan-out by runIntervalsParallel
@@ -147,6 +149,20 @@ func (s *partitionSolver) bind(g *graph.Graph, core []int32, h, slack int, pool 
 	} else {
 		s.q.Clear()
 	}
+}
+
+// headroom is how far above level k a truncated h-degree count runs
+// before it stops: max(minHeadroom, k/8), or the pinned constant. A count
+// that reaches its cap costs Θ(cap) discoveries and must be repeated once
+// decrements or a rising frontier catch up with it, so headroom that
+// grows with k spreads each recount over Θ(k) levels or decrements; a
+// constant headroom buys only a constant number, which leaves nearly every
+// count in the dense cores of high-k graphs capped.
+func (s *partitionSolver) headroom(k int) int {
+	if s.pin > 0 {
+		return s.pin
+	}
+	return max(minHeadroom, k/8)
 }
 
 // hdegCappedBatch fills s.deg with min(deg^h, cap) for every vertex in
@@ -279,9 +295,9 @@ func (s *partitionSolver) solveInterval(kmin, kmax int, ub, lb2 []int32) {
 
 // coreDecomp is Algorithm 3: peel buckets kmin-1 .. kmax, assigning core
 // indices in [kmin, kmax]. Vertices popped with the setLB or capped flag
-// raised get their h-degree counted lazily — truncated at k+1+slack, since
-// a count that reaches the cap already proves the vertex lies above the
-// frontier — and are re-bucketed; vertices popped with a known exact
+// raised get their h-degree counted lazily — truncated at k+1+headroom(k),
+// since a count that reaches the cap already proves the vertex lies above
+// the frontier — and are re-bucketed; vertices popped with a known exact
 // h-degree are settled at the current level and removed, updating only
 // neighbors whose h-degree is being tracked (setLB false) — with the O(1)
 // decrement shortcut for neighbors at distance exactly h.
@@ -347,7 +363,7 @@ func (s *partitionSolver) coreDecomp(kmin, kmax int) {
 				}
 				// Lazily count the h-degree w.r.t. the alive set, but only
 				// far enough to place v relative to the frontier.
-				cap := k + 1 + s.slack
+				cap := k + 1 + s.headroom(k)
 				d := t.HDegreeCapped(v, s.h, s.alive, cap)
 				s.stats.HDegreeComputations++
 				s.deg[v] = int32(d)

@@ -91,8 +91,7 @@ func TestPowerPeelingOrderCtxContract(t *testing.T) {
 
 // TestPowerPeelDecrementAccounting verifies the dedupe restored the work
 // counters PowerPeelingOrder used to skip: an HLBUB run on a connected
-// graph must report Algorithm-5 decrements, and the adaptive lazy-recount
-// slack must land inside its documented clamp.
+// graph must report Algorithm-5 decrements.
 func TestPowerPeelDecrementAccounting(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 3, 7)
 	e := NewEngine(g, 1)
@@ -103,9 +102,6 @@ func TestPowerPeelDecrementAccounting(t *testing.T) {
 	}
 	if res.Stats.Decrements == 0 {
 		t.Error("HLBUB run reported zero Algorithm-5/peeling decrements")
-	}
-	if e.slack < 4 || e.slack > 64 {
-		t.Errorf("adaptive slack resolved to %d, outside the [4, 64] clamp", e.slack)
 	}
 	if res.Stats.PhaseUpperBound <= 0 || res.Stats.PhaseIntervals <= 0 {
 		t.Errorf("phase breakdown not recorded: UB=%v intervals=%v",
