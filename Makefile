@@ -33,12 +33,13 @@ race:
 
 # race-parallel is the CI smoke of the concurrent h-LB+UB path: the
 # parallel-vs-sequential equivalence property, engine reuse, the
-# EnginePool concurrent-load tests and the mid-peel cancellation property
-# under the race detector. The core tests among them open the engine's
-# schedule decision through its one test hook (forceParallel), so the
-# concurrent paths run at any GOMAXPROCS.
+# EnginePool concurrent-load tests, the mid-peel cancellation property
+# and the peel's interior loss-bound exactness shapes under the race
+# detector. The core tests among them open the engine's schedule decision
+# through its one test hook (forceParallel), so the concurrent paths run
+# at any GOMAXPROCS.
 race-parallel:
-	go test -race -run 'TestParallel|TestEngine|TestCancel' ./internal/core/ .
+	go test -race -run 'TestParallel|TestEngine|TestCancel|TestLossBound' ./internal/core/ .
 
 # race-approx is the CI smoke of the sampling-based approximate path: the
 # worker-count determinism property, the cancellation property and the
@@ -49,11 +50,13 @@ race-approx:
 
 # race-incr is the CI smoke of the incremental-maintenance subsystem:
 # the differential edit-stream property suite (bit-identical to
-# from-scratch after every batch), the typed-edit and cancellation
-# contracts, the CSR splice differential and the /mutate serving surface,
-# all under the race detector — repeated across a GOMAXPROCS matrix by CI.
+# from-scratch after every batch), the repair peel's interior loss bound
+# on cut-vertex shapes (TestLossBoundRepairExact), the typed-edit and
+# cancellation contracts, the CSR splice differential and the /mutate
+# serving surface, all under the race detector — repeated across a
+# GOMAXPROCS matrix by CI.
 race-incr:
-	go test -race -run 'TestIncr|TestMaintainer|TestSplice|TestMutate' ./internal/core/ ./internal/graph/ ./cmd/khserve/ .
+	go test -race -run 'TestIncr|TestMaintainer|TestSplice|TestMutate|TestLossBound' ./internal/core/ ./internal/graph/ ./cmd/khserve/ .
 
 # chaos builds the module with the fault-injection sites compiled in and
 # storms the engine pool and the serving daemon with seeded panics,

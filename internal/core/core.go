@@ -151,8 +151,11 @@ type Stats struct {
 	Visits int64
 	// HDegreeComputations counts full h-degree (re-)computations.
 	HDegreeComputations int64
-	// Decrements counts O(1) h-degree decrements (distance-h neighbors in
-	// h-LB, and every update in Algorithm 5 / Algorithm 6 cleaning).
+	// Decrements counts O(1) exact h-degree decrements: distance-h
+	// neighbors of a removed vertex in the h-LB / h-LB+UB peel, and every
+	// update in Algorithm 5 / Algorithm 6 cleaning. The peel's bounded
+	// updates of interior neighbors (distance < h), which lower an entry
+	// by a loss bound and leave it a lower bound, are not counted.
 	Decrements int64
 	// Partitions is the number of top-down partitions processed (HLBUB).
 	Partitions int

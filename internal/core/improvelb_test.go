@@ -209,10 +209,10 @@ func TestHLBUBCounterGolden(t *testing.T) {
 		h                         int
 		visits, hdegs, decrements int64
 	}{
-		{"jazz", 2, 195013, 2017, 19292},
-		{"caAs", 2, 1434676, 17120, 158614},
-		{"FBco", 2, 3834124, 12019, 408018},
-		{"caHe", 3, 8343732, 21287, 621076},
+		{"jazz", 2, 191679, 1989, 19161},
+		{"caAs", 2, 1368160, 16327, 158065},
+		{"FBco", 2, 3686922, 11543, 407696},
+		{"caHe", 3, 6177959, 16032, 616310},
 	}
 	for _, c := range golden {
 		g, err := datasets.Load(c.name)

@@ -66,11 +66,12 @@ type partitionSolver struct {
 	// dirty and inQueue serve the ImproveLB cleaning cascade.
 	dirty   *vset.Set
 	inQueue *vset.Set
-	// capped marks vertices whose deg entry is a truncated (early-exited)
-	// h-degree: a lower bound on the true value. Capped entries are still
-	// decrement-tracked — a decrement keeps a lower bound a lower bound —
-	// and are re-counted (with a fresh cap) when the peeling frontier pops
-	// them, settling only on an exact count. See coreDecomp.
+	// capped marks vertices whose deg entry is only a lower bound on the
+	// true h-degree: a truncated (early-exited) count, or an entry lowered
+	// by removeAndUpdate's interior loss bound. Capped entries are still
+	// update-tracked — a decrement or a bounded loss keeps a lower bound a
+	// lower bound — and are re-counted (with a fresh cap) when the peeling
+	// frontier pops them, settling only on an exact count. See coreDecomp.
 	capped *vset.Set
 	// pinned marks boundary carriers of a localized repair
 	// (Engine.repairRegion): vertices whose core index is known to be
@@ -299,15 +300,22 @@ func (s *partitionSolver) solveInterval(kmin, kmax int, ub, lb2 []int32) {
 // since a count that reaches the cap already proves the vertex lies above
 // the frontier — and are re-bucketed; vertices popped with a known exact
 // h-degree are settled at the current level and removed, updating only
-// neighbors whose h-degree is being tracked (setLB false) — with the O(1)
-// decrement shortcut for neighbors at distance exactly h.
+// neighbors whose h-degree is being tracked (setLB false): an exact −1 on
+// the distance-h shell, and the loss bound of removeAndUpdate in the
+// interior.
 //
-// Soundness of the truncated counts: a capped deg entry is a lower bound
-// on the true h-degree, and decrements preserve that, so a vertex's bucket
-// key ≥ k implies either a sound core lower bound ≥ k (setLB) or a true
-// h-degree ≥ min(key, deg entry) — the frontier never advances past a
-// vertex whose true h-degree it should have caught, and a vertex is only
-// ever settled after an exact (un-truncated) count at the frontier.
+// Invariant: every queue key is a lower bound. A tracked vertex's deg
+// entry is its exact h-degree in the alive set (capped clear) or a lower
+// bound on it (capped set: a truncated count, or an exact or bounded value
+// lowered by a proven loss bound), and its key is max(deg, k); a setLB
+// vertex's key is a sound lower bound on its core index. So a key above
+// the frontier proves the vertex's true h-degree (or core index) lies
+// above it too, and the frontier never passes a vertex it should have
+// caught — the argument Batagelj and Zaveršnik give for peeling with
+// lower-bound keys, provided a value is re-evaluated before its vertex
+// settles. Here a vertex settles only on an exact count popped at the
+// frontier (a pinned repair carrier, on its known index); a capped pop is
+// re-counted first.
 //
 // Deviation from the paper's pseudocode (recorded here, where it occurs): lazy
 // re-bucketing inserts at max(deg, k), not deg, because the recomputed
@@ -395,43 +403,60 @@ func (s *partitionSolver) coreDecomp(kmin, kmax int) {
 	}
 }
 
-// removeAndUpdate deletes v from the alive set and refreshes the h-degrees
-// of its h-neighborhood in O(1) per neighbor: neighbors on the distance-h
-// shell lose exactly one h-neighbor (v itself) and are decremented, while
-// neighbors in the interior (distance < h) — whose loss cannot be told
-// without a recount — are "parked": moved to the current frontier bucket
-// with the capped flag raised, so the peeling loop re-counts them lazily
-// when it pops them. Re-parking an already-parked vertex is free, and a
-// recount costs at most cap discoveries, so what used to be one full
-// batched recount per removal becomes at most one truncated recount per
-// park. A parked vertex sits at the frontier, so it is always re-counted
-// before the frontier can advance past it — the key-soundness invariant
-// of coreDecomp is untouched.
-// Neighbors with setLB raised (lower bound only, or already settled) are
-// skipped entirely — that is the saving h-LB and h-LB+UB are built on.
+// removeAndUpdate deletes v from the alive set and refreshes the h-degree
+// entries of its h-neighborhood in O(1) per neighbor, from one h-ball of v
+// taken while v is still alive. A neighbor u at distance d from v loses
+// the h-neighbors w that it reached within h only through v:
+//
+//   - on the distance-h shell (d = h) that is exactly one vertex, v
+//     itself, so the entry is decremented and keeps its exactness;
+//   - in the interior (d < h) it is at most |B_{h−d}(v)| − 1, where
+//     B_r(v) is v's alive ball of radius r with v included. Every lost w
+//     has all its ≤ h paths from u through v, so d(v, w) ≤ h − d; and
+//     one member of B_{h−d}(v) is never lost — the vertex p before v on a
+//     shortest u–v path still reaches u within d − 1 ≤ h, or, when
+//     d = 1, u itself, which is not its own h-neighbor. The entry drops
+//     by that bound and becomes a lower bound (the capped flag), keyed at
+//     max(bound, k): the frontier parks it at level k only once the
+//     bound reaches k, and it is re-counted exactly when popped.
+//
+// The radius counts are the ball's level ends (hbfs LevelEnds), so the
+// bound costs no search. Entries stay lower bounds on the true h-degree
+// under both updates, which is the key invariant coreDecomp's soundness
+// rests on. Neighbors with setLB raised (lower bound only, or already
+// settled) are skipped entirely — that is the saving h-LB and h-LB+UB are
+// built on. Only the shell's exact decrements count toward
+// Stats.Decrements; the interior's bounded updates do not.
 //
 //khcore:hotpath
 //khcore:vset-caller-epoch alive capped
 func (s *partitionSolver) removeAndUpdate(v, k int) {
 	verts, shellStart := s.t.Ball(v, s.h, s.alive)
+	ends := s.t.LevelEnds()
 	s.alive.Remove(v)
-	for i, u := range verts {
+	// Interior blocks d = 1 .. min(h−1, R): verts[ends[d-1]-1 : ends[d]-1].
+	// At h = 1 there is no interior and ends is never read.
+	radius := len(ends) - 1
+	for d := 1; d < s.h && d <= radius; d++ {
+		loss := ends[min(s.h-d, radius)] - 1
+		for _, u := range verts[ends[d-1]-1 : ends[d]-1] {
+			ui := int(u)
+			if s.setLB.Contains(ui) || !s.q.Contains(ui) {
+				continue
+			}
+			b := max(s.deg[u]-loss, 0)
+			s.deg[u] = b
+			s.capped.Add(ui)
+			s.q.move(ui, max(int(b), k))
+		}
+	}
+	for _, u := range verts[shellStart:] {
 		ui := int(u)
 		if s.setLB.Contains(ui) || !s.q.Contains(ui) {
 			continue
 		}
-		if i < shellStart {
-			s.deg[u] = int32(k)
-			s.capped.Add(ui)
-			s.q.move(ui, k)
-		} else {
-			s.deg[u]--
-			s.stats.Decrements++
-			nk := int(s.deg[u])
-			if nk < k {
-				nk = k
-			}
-			s.q.move(ui, nk)
-		}
+		s.deg[u]--
+		s.stats.Decrements++
+		s.q.move(ui, max(int(s.deg[u]), k))
 	}
 }

@@ -50,7 +50,9 @@ type Traversal struct {
 	seen  []uint64
 	queue []int32
 	// levels[d] is the queue index one past the distance-d block of the
-	// last full search; levels[0] is always 1 (the source block).
+	// last full search — equivalently |B_d(src)|, the alive ball of radius
+	// d with src included; levels[0] is always 1 (the source block). Ball's
+	// h = 1 fast path records it too (see LevelEnds).
 	levels []int32
 	// visits counts vertices enqueued across all searches performed by
 	// this traversal since construction or the last ResetVisits.
@@ -324,6 +326,7 @@ func (t *Traversal) Ball(src, h int, alive *vset.Set) (verts []int32, shellStart
 		adj := t.g.Neighbors(src)
 		if alive == nil {
 			t.visits += int64(len(adj)) + 1
+			t.setLevels1(len(adj))
 			return adj, 0
 		}
 		q := t.queue[:0]
@@ -334,11 +337,36 @@ func (t *Traversal) Ball(src, h int, alive *vset.Set) (verts []int32, shellStart
 		}
 		t.queue = q
 		t.visits += int64(len(q)) + 1
+		t.setLevels1(len(q))
 		return q, 0
 	}
 	q, shell := t.ball(src, h, alive)
 	return q[1:], shell - 1
 }
+
+// setLevels1 records the level boundaries of an h = 1 fast-path ball with
+// deg neighbors, so LevelEnds never reports a previous search's levels.
+//
+//khcore:hotpath
+func (t *Traversal) setLevels1(deg int) {
+	t.levels = append(t.levels[:0], 1)
+	if deg > 0 {
+		t.levels = append(t.levels, int32(deg)+1)
+	}
+}
+
+// LevelEnds returns the per-distance block ends of the last Ball:
+// ends[d] = |B_d(src)|, the number of reached vertices within distance d
+// of src with src included, for d = 0..R, where R ≤ h is the largest
+// distance the search reached (so len(ends) = R+1, and |B_d(src)| =
+// ends[R] for every d > R). In Ball's verts, which exclude src, the
+// distance-d block is verts[ends[d-1]-1 : ends[d]-1]. The slice aliases
+// the traversal's scratch: it is read-only, costs no allocation, and is
+// valid only until the next search on this traversal (HDegreeCapped and
+// the sampled kernels do not maintain it).
+//
+//khcore:hotpath
+func (t *Traversal) LevelEnds() []int32 { return t.levels }
 
 // Visit runs an h-bounded BFS from src over alive vertices and invokes fn
 // for every reached vertex u ≠ src with its distance d(src,u) ∈ [1, h].
@@ -351,20 +379,13 @@ func (t *Traversal) Visit(src, h int, alive *vset.Set, fn func(u int32, d int32)
 	if !t.valid(src, h, alive) {
 		return
 	}
-	if h == 1 {
-		// Ball's fast path has already materialized (or aliased) the alive
-		// neighbors, so fn may freely mutate the mask while it runs — the
-		// same post-traversal timing the BFS path guarantees.
-		verts, _ := t.Ball(src, 1, alive)
-		for _, u := range verts {
-			fn(u, 1)
-		}
-		return
-	}
-	q, _ := t.ball(src, h, alive)
-	for d := 1; d < len(t.levels); d++ {
-		for i := t.levels[d-1]; i < t.levels[d]; i++ {
-			fn(q[i], int32(d))
+	// Ball has materialized (or, at h = 1 without a mask, aliased) the
+	// whole ball before fn runs, so fn may freely mutate the mask.
+	verts, _ := t.Ball(src, h, alive)
+	ends := t.LevelEnds()
+	for d := 1; d < len(ends); d++ {
+		for _, u := range verts[ends[d-1]-1 : ends[d]-1] {
+			fn(u, int32(d))
 		}
 	}
 }

@@ -19,25 +19,7 @@ func refHDegree(g *graph.Graph, src, h int, alive map[int]bool) int {
 	if alive != nil && !alive[src] {
 		return 0
 	}
-	dist := map[int]int{src: 0}
-	queue := []int{src}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		if dist[v] >= h {
-			continue
-		}
-		for _, u := range g.Neighbors(v) {
-			if _, ok := dist[int(u)]; ok {
-				continue
-			}
-			if alive != nil && !alive[int(u)] {
-				continue
-			}
-			dist[int(u)] = dist[v] + 1
-			queue = append(queue, int(u))
-		}
-	}
-	return len(queue) - 1
+	return len(refDistances(g, src, h, alive)) - 1
 }
 
 // randomCase builds a deterministic pseudo-random graph of 30–99 vertices
@@ -181,6 +163,85 @@ func refDistance(g *graph.Graph, src, dst int, alive map[int]bool) int {
 		}
 	}
 	return -1
+}
+
+// refDistances returns the alive-restricted BFS distance of every vertex
+// within h of src (src at 0).
+func refDistances(g *graph.Graph, src, h int, alive map[int]bool) map[int]int {
+	dist := map[int]int{src: 0}
+	queue := []int{src}
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		if dist[v] == h {
+			continue
+		}
+		for _, u := range g.Neighbors(v) {
+			if _, ok := dist[int(u)]; ok || (alive != nil && !alive[int(u)]) {
+				continue
+			}
+			dist[int(u)] = dist[v] + 1
+			queue = append(queue, int(u))
+		}
+	}
+	return dist
+}
+
+// TestBallLevelEnds checks Ball's per-distance block ends against naive
+// BFS distances at h = 1..5, with and without an alive mask: ends[d] is
+// |B_d(src)| for every distance the ball reached, ends stops at the
+// ball's radius, and each block of verts holds exactly the vertices at
+// its distance. Before every Ball the traversal runs a radius-5 search
+// from another source, so an h = 1 fast-path ball that reported the
+// previous search's levels would fail.
+func TestBallLevelEnds(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		g, alive, aliveMap, _ := randomCase(seed)
+		tr := NewTraversal(g)
+		n := g.NumVertices()
+		for _, masked := range []bool{false, true} {
+			mask, amap := (*vset.Set)(nil), map[int]bool(nil)
+			if masked {
+				mask, amap = alive, aliveMap
+			}
+			for h := 1; h <= 5; h++ {
+				for src := 0; src < n; src++ {
+					if masked && !aliveMap[src] {
+						continue
+					}
+					tr.Ball((src+1)%n, 5, nil)
+					verts, _ := tr.Ball(src, h, mask)
+					ends := tr.LevelEnds()
+					dist := refDistances(g, src, h, amap)
+					radius := 0
+					for _, d := range dist {
+						radius = max(radius, d)
+					}
+					if len(ends) != radius+1 || ends[0] != 1 || int(ends[radius])-1 != len(verts) {
+						t.Fatalf("seed %d masked=%v h=%d src=%d: ends %v for radius %d and %d verts",
+							seed, masked, h, src, ends, radius, len(verts))
+					}
+					for d := 1; d <= radius; d++ {
+						within := 0
+						for _, du := range dist {
+							if du <= d {
+								within++
+							}
+						}
+						if int(ends[d]) != within {
+							t.Fatalf("seed %d masked=%v h=%d src=%d: |B_%d| = %d, want %d",
+								seed, masked, h, src, d, ends[d], within)
+						}
+						for _, u := range verts[ends[d-1]-1 : ends[d]-1] {
+							if dist[int(u)] != d {
+								t.Fatalf("seed %d masked=%v h=%d src=%d: vertex %d in block %d at distance %d",
+									seed, masked, h, src, u, d, dist[int(u)])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestTruncatedVisitAccounting asserts the early-exit kernels charge only
