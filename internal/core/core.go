@@ -557,7 +557,10 @@ func (e *Engine) DecomposeInto(res *Result, opts Options) error {
 // untouched, and leaves the engine fully reusable: the next run re-derives
 // every piece of state, producing results bit-identical to a fresh
 // engine's. Contexts that can never be canceled (Background, TODO) add no
-// work to the existing zero-allocation happy path.
+// work to the existing zero-allocation happy path. An h-LB+UB run that
+// completes with a vertex unsettled — a peel fault, never a property of
+// the input — returns an error wrapping ErrInvalidResult and likewise
+// leaves res untouched.
 func (e *Engine) DecomposeIntoCtx(ctx context.Context, res *Result, opts Options) error {
 	defer e.clearSeeds()     // seeds apply to exactly one attempt, even a rejected one
 	defer e.cancel.release() // don't pin the request's context while the engine idles
@@ -589,6 +592,7 @@ func (e *Engine) DecomposeIntoCtx(ctx context.Context, res *Result, opts Options
 	}
 	start := time.Now()
 	e.beginRun(opts)
+	var runErr error
 	switch {
 	case opts.Approx.Enabled:
 		e.runApprox()
@@ -597,13 +601,16 @@ func (e *Engine) DecomposeIntoCtx(ctx context.Context, res *Result, opts Options
 	case opts.Algorithm == HLB:
 		e.runHLB()
 	default:
-		e.runHLBUB()
+		runErr = e.runHLBUB()
 	}
 	for _, s := range e.sv {
 		e.stats.absorb(&s.stats)
 	}
 	if e.cancel.stop() {
 		return CanceledError(ctx)
+	}
+	if runErr != nil {
+		return runErr
 	}
 	n := e.g.NumVertices()
 	if cap(res.Core) < n {

@@ -41,7 +41,8 @@ var (
 	ErrInvalidApprox = errors.New("khcore: invalid approximate-mode options")
 	// ErrInvalidResult is returned by the validation surfaces — Validate
 	// against the naive oracle, BuildHierarchy's input checks — when a
-	// decomposition is malformed or inconsistent with its graph.
+	// decomposition is malformed or inconsistent with its graph, and by an
+	// h-LB+UB run whose interval peel left a vertex unsettled.
 	ErrInvalidResult = errors.New("khcore: invalid decomposition result")
 	// ErrBadEdit is returned by the Maintainer for an edge edit that
 	// cannot apply: inserting a present edge, deleting an absent one, or

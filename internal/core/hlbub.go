@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"time"
 )
@@ -23,10 +24,14 @@ import (
 // to the sequential path's, which remains in use for single-worker
 // engines: it carries settled vertices and LB3 raises across intervals,
 // an optimization only a serial schedule can exploit).
-func (e *Engine) runHLBUB() {
+//
+// A run that finishes uncanceled must have settled every vertex; one
+// that did not returns an error wrapping ErrInvalidResult (see
+// checkSettled) instead of a zeroed core index.
+func (e *Engine) runHLBUB() error {
 	n := e.g.NumVertices()
 	if n == 0 {
-		return
+		return nil
 	}
 
 	// Lines 3–6: initial h-degrees, LB2, LB3 ← 0 (parallel, §4.6). The
@@ -39,7 +44,7 @@ func (e *Engine) runHLBUB() {
 	e.stats.HDegreeComputations += e.pool.HDegrees(e.allVerts(), e.h, e.alive0(), e.degH)
 	e.stats.PhaseHDegrees = time.Since(t0)
 	if e.cancel.stop() {
-		return // the batch was drained early; nothing downstream may read it
+		return nil // the batch was drained early; nothing downstream may read it
 	}
 	t0 = time.Now()
 	lb2 := e.mergeSeedLB(e.lb2Into(e.lb1Into()))
@@ -51,7 +56,7 @@ func (e *Engine) runHLBUB() {
 	ub := e.upperBoundsInto(e.degH)
 	e.stats.PhaseUpperBound = time.Since(t0)
 	if e.cancel.stop() {
-		return // Algorithm 5 aborted; the bounds are partial
+		return nil // Algorithm 5 aborted; the bounds are partial
 	}
 	if e.seedUB != nil {
 		for v := range ub {
@@ -77,12 +82,40 @@ func (e *Engine) runHLBUB() {
 	e.planIntervals(ub, lb2, solvers)
 
 	t0 = time.Now()
-	if solvers > 1 && len(e.intervals) > 1 {
+	parallel := solvers > 1 && len(e.intervals) > 1
+	if parallel {
 		e.runIntervalsParallel(ub, lb2)
 	} else {
 		e.runIntervalsSequential(ub, lb2)
 	}
 	e.stats.PhaseIntervals = time.Since(t0)
+	if e.cancel.stop() {
+		return nil // abandoned intervals settle nothing; the caller reports the cancellation
+	}
+	return e.checkSettled(parallel)
+}
+
+// checkSettled reports, as an error wrapping ErrInvalidResult, the first
+// vertex the interval phase left unsettled: every vertex's core index
+// lies in exactly one interval, so a completed run has settled them all,
+// and a vertex that was not would otherwise keep its zeroed core index
+// silently. Settles are read from the sequential solver's assigned set
+// or, after the parallel fan-out, from the settled-vertex broadcast,
+// which every settle publishes. O(n); it allocates only on failure.
+func (e *Engine) checkSettled(parallel bool) error {
+	assigned := e.sv[0].assigned
+	for v := 0; v < e.g.NumVertices(); v++ {
+		var settled bool
+		if parallel {
+			settled = e.bcast[v] != 0 //khcore:atomic-ok read after the fan-out's workers have quiesced
+		} else {
+			settled = assigned.Contains(v)
+		}
+		if !settled {
+			return fmt.Errorf("%w: h-LB+UB left vertex %d unsettled", ErrInvalidResult, v)
+		}
+	}
+	return nil
 }
 
 // planIntervals computes the descending distinct upper-bound values (with

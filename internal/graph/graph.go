@@ -44,7 +44,10 @@ func (g *Graph) Degree(v int) int {
 }
 
 // Neighbors returns the adjacency list of v as a shared, sorted, read-only
-// slice. Callers must not modify it.
+// slice. Callers must not modify it. Every list is strictly increasing —
+// sorted and free of duplicates: Build guarantees it and Splice keeps it
+// under its preconditions. The h-BFS kernels (internal/hbfs) rely on it to take a list's neighbours a
+// 64-bit word at a time in adjacency order.
 func (g *Graph) Neighbors(v int) []int32 {
 	return g.edges[g.offsets[v]:g.offsets[v+1]]
 }

@@ -23,17 +23,33 @@
 // the alive mask) directly instead of running a BFS, so classic-core
 // workloads never touch the queue.
 //
+// Ball, HDegree and HDegreeCapped share one level-expansion routine
+// (Traversal.expand) that tests visited marks a 64-vertex word at a time.
+// Adjacency lists are sorted and duplicate-free, so each list picks a
+// path from its own shape, read from its first and last id: a dense list
+// (two or more neighbours per word on average) ORs each run of
+// neighbours sharing a word into a mask and takes all its fresh, alive
+// bits with one word operation; a spread list tests each neighbour
+// without a data-dependent branch, writing it to the queue's spare next
+// slot and advancing the length by its fresh bit. Fresh bits are appended
+// in increasing order, which in a sorted list is adjacency order, so the
+// queue, the shell split, the level ends and every count are exactly
+// those of the plain per-neighbour loop.
+//
 // A Traversal owns reusable scratch memory so repeated searches allocate
 // nothing, and it counts the number of vertices it enqueues across all
 // searches — the paper's "number of computed point-to-point distances"
 // metric (Table 3). Early-exiting kernels count exactly the vertices of
 // the truncated traversal. Alive masks are packed vset.Sets (see
-// internal/vset), shared with the peeling algorithms and the applications,
-// and the traversal's own "seen" marks are an epoch-cleared vset too — one
-// representation end to end.
+// internal/vset), shared with the peeling algorithms and the
+// applications; the traversal's own visited marks are a plain bitset kept
+// all-zero between searches, so the hot loop pays no epoch check on them.
 package hbfs
 
 import (
+	"math"
+	"math/bits"
+
 	"repro/internal/graph"
 	"repro/internal/vset"
 )
@@ -47,7 +63,10 @@ type Traversal struct {
 	// is all-zero between searches — every search marks only the vertices
 	// it enqueues and unmarks them from the queue before returning, so no
 	// epoch bookkeeping is paid in the hot loop.
-	seen  []uint64
+	seen []uint64
+	// queue holds the current search's vertices in (distance, discovery)
+	// order. Its capacity is n + 1: the spare slot takes the speculative
+	// write of expand's spread path when all n vertices are enqueued.
 	queue []int32
 	// levels[d] is the queue index one past the distance-d block of the
 	// last full search — equivalently |B_d(src)|, the alive ball of radius
@@ -91,8 +110,8 @@ func (t *Traversal) Reset(g *graph.Graph) {
 	} else {
 		t.seen = t.seen[:w]
 	}
-	if cap(t.queue) < n {
-		t.queue = make([]int32, 0, n)
+	if cap(t.queue) < n+1 {
+		t.queue = make([]int32, 0, n+1) // the spare slot of expand's spread path
 	}
 	t.queue = t.queue[:0]
 }
@@ -144,48 +163,100 @@ func (t *Traversal) valid(src, h int, alive *vset.Set) bool {
 	return alive == nil || alive.Contains(src)
 }
 
-// ball runs the full level-synchronous h-bounded BFS from src, leaving the
+// ball runs the level-synchronous h-bounded BFS from src, leaving the
 // reached vertices in t.queue in (distance, discovery) order — queue[0] is
 // src, then the distance-1 block, and so on — and recording the block
 // boundaries in t.levels. It returns the queue and the index where the
 // distance-exactly-h block starts (len(queue) when the ball's radius is
-// below h). The caller must finish with the returned slice before starting
-// another search on this traversal.
+// below h). A search that enqueues more than limit vertices stops there:
+// the queue then holds exactly limit+1 of them and the shell index and
+// levels are meaningless. The caller must finish with the returned slice
+// before starting another search on this traversal.
 //
 //khcore:hotpath
-func (t *Traversal) ball(src, h int, alive *vset.Set) (q []int32, shellStart int) {
+func (t *Traversal) ball(src, h int, alive *vset.Set, limit int) (q []int32, shellStart int) {
 	q = append(t.queue[:0], int32(src))
 	t.seenMark(int32(src))
 	t.levels = append(t.levels[:0], 1)
-	levelStart := 0
-	for d := 1; d <= h; d++ {
-		levelEnd := len(q)
-		for i := levelStart; i < levelEnd; i++ {
-			for _, u := range t.g.Neighbors(int(q[i])) {
-				if t.seenTest(u) {
-					continue
-				}
-				if alive != nil && !alive.Contains(int(u)) {
-					continue
-				}
-				t.seenMark(u)
-				q = append(q, u)
-			}
-		}
+	levelStart, levelEnd := 0, 1
+	for d := 1; d <= h && len(q) <= limit; d++ {
+		q = t.expand(q, levelStart, levelEnd, alive, limit)
 		if len(q) == levelEnd {
-			// The frontier died before distance h: no shell.
-			shellStart = len(q)
-			goto done
+			break // the frontier died before distance h: no shell
 		}
 		t.levels = append(t.levels, int32(len(q)))
-		levelStart = levelEnd
+		levelStart, levelEnd = levelEnd, len(q)
 	}
-	shellStart = levelStart
-done:
+	shellStart = len(q)
+	if len(t.levels) == h+1 {
+		shellStart = levelStart
+	}
 	t.clearSeen(q)
 	t.queue = q
 	t.visits += int64(len(q))
 	return q, shellStart
+}
+
+// expand appends to q every unmarked alive neighbour of the frontier
+// q[from:to], marking each, in the order of the plain per-neighbour loop
+// (frontier order, then adjacency order), and stops as soon as q holds
+// more than limit vertices. Each list takes the dense or the spread path
+// of the package comment, chosen from its first and last id; the spread
+// path's speculative write may land one past a full queue, which is why
+// the queue keeps a spare slot (see Reset). Neither path serves every
+// graph alone: word runs for every list made the exact decompositions of
+// the graphs whose lists are mostly spread (BA, caAs, amzn) 27–46%
+// slower, and branch-free tests for every list made the caveman blocks'
+// decomposition 3× slower (measured per graph; see README, Performance).
+//
+//khcore:hotpath
+func (t *Traversal) expand(q []int32, from, to int, alive *vset.Set, limit int) []int32 {
+	seen := t.seen
+	m := len(q)
+	q = q[:cap(q)]
+	for i := from; i < to; i++ {
+		adj := t.g.Neighbors(int(q[i]))
+		if len(adj) == 0 {
+			continue
+		}
+		if words := int(adj[len(adj)-1]>>6-adj[0]>>6) + 1; len(adj) >= 2*words {
+			for j := 0; j < len(adj); {
+				w := adj[j] >> 6
+				var mask uint64
+				for ; j < len(adj) && adj[j]>>6 == w; j++ {
+					mask |= 1 << (uint(adj[j]) & 63)
+				}
+				fresh := mask &^ seen[w]
+				if alive != nil {
+					fresh &= alive.Word(int(w))
+				}
+				if fresh == 0 {
+					continue
+				}
+				seen[w] |= fresh
+				for base := w << 6; fresh != 0; fresh &= fresh - 1 {
+					q[m] = base + int32(bits.TrailingZeros64(fresh))
+					if m++; m > limit {
+						return q[:m]
+					}
+				}
+			}
+			continue
+		}
+		for _, u := range adj {
+			w, b := u>>6, uint(u)&63
+			bit := ^seen[w] >> b & 1
+			if alive != nil {
+				bit &= alive.Word(int(w)) >> b
+			}
+			seen[w] |= bit << b
+			q[m] = u
+			if m += int(bit); m > limit {
+				return q[:m]
+			}
+		}
+	}
+	return q[:m]
 }
 
 // HDegree returns |N_{G[alive]}(src, h)|: the number of alive vertices
@@ -202,7 +273,7 @@ func (t *Traversal) HDegree(src, h int, alive *vset.Set) int {
 	if h == 1 {
 		return t.hDegree1(src, alive)
 	}
-	q, _ := t.ball(src, h, alive)
+	q, _ := t.ball(src, h, alive, math.MaxInt)
 	return len(q) - 1
 }
 
@@ -241,40 +312,12 @@ func (t *Traversal) HDegreeCapped(src, h int, alive *vset.Set, cap int) int {
 	if h == 1 {
 		return t.hDegree1Capped(src, alive, cap)
 	}
-	q := append(t.queue[:0], int32(src))
-	t.seenMark(int32(src))
-	levelStart := 0
-	for d := 1; d <= h; d++ {
-		levelEnd := len(q)
-		for i := levelStart; i < levelEnd; i++ {
-			for _, u := range t.g.Neighbors(int(q[i])) {
-				if t.seenTest(u) {
-					continue
-				}
-				if alive != nil && !alive.Contains(int(u)) {
-					continue
-				}
-				t.seenMark(u)
-				q = append(q, u)
-				if len(q) > cap {
-					// cap reachable vertices found (src excluded); every
-					// enqueued vertex is within distance ≤ h, so the bound
-					// is already proven.
-					t.clearSeen(q)
-					t.queue = q
-					t.visits += int64(len(q))
-					return cap
-				}
-			}
-		}
-		if len(q) == levelEnd {
-			break
-		}
-		levelStart = levelEnd
+	q, _ := t.ball(src, h, alive, cap)
+	if len(q) > cap {
+		// cap reachable vertices found (src excluded); every enqueued
+		// vertex is within distance ≤ h, so the bound is already proven.
+		return cap
 	}
-	t.clearSeen(q)
-	t.queue = q
-	t.visits += int64(len(q))
 	return len(q) - 1
 }
 
@@ -340,7 +383,7 @@ func (t *Traversal) Ball(src, h int, alive *vset.Set) (verts []int32, shellStart
 		t.setLevels1(len(q))
 		return q, 0
 	}
-	q, shell := t.ball(src, h, alive)
+	q, shell := t.ball(src, h, alive, math.MaxInt)
 	return q[1:], shell - 1
 }
 
@@ -362,8 +405,8 @@ func (t *Traversal) setLevels1(deg int) {
 // ends[R] for every d > R). In Ball's verts, which exclude src, the
 // distance-d block is verts[ends[d-1]-1 : ends[d]-1]. The slice aliases
 // the traversal's scratch: it is read-only, costs no allocation, and is
-// valid only until the next search on this traversal (HDegreeCapped and
-// the sampled kernels do not maintain it).
+// valid only until the next search on this traversal (after any other
+// kernel its content is unspecified).
 //
 //khcore:hotpath
 func (t *Traversal) LevelEnds() []int32 { return t.levels }

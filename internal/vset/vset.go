@@ -2,11 +2,14 @@
 // every (k,h)-core algorithm in this repository: a bitset over vertex ids
 // 0..n-1 with epoch-cleared semantics. Clearing is O(1) — the set bumps a
 // generation counter and every word is lazily re-zeroed on first touch —
-// so the peeling algorithms, the h-BFS "seen" marks and the applications'
-// "alive" masks can all reuse one allocation across an unbounded number of
-// runs. A Set packs 64 vertices per word (8× denser than the []bool masks
-// it replaces), which both shrinks the cache footprint of the BFS hot loop
-// and makes whole-set operations (Fill, CopyFrom, Count) word-parallel.
+// so the peeling algorithms' vertex sets and the "alive" masks of the
+// peels and the applications can all reuse one allocation across an
+// unbounded number of runs. (The h-BFS visited marks are not a Set: each
+// hbfs.Traversal keeps its own plain bitset, all-zero between searches.)
+// A Set packs 64 vertices per word (8× denser than the []bool masks it
+// replaces), which both shrinks the cache footprint of the BFS hot loop
+// and makes whole-set operations (Fill, CopyFrom, Count) word-parallel;
+// Word hands the h-BFS kernels 64 alive bits at once.
 package vset
 
 import "math/bits"
@@ -96,6 +99,18 @@ func (s *Set) word(w int) uint64 {
 		return 0
 	}
 	return s.words[w]
+}
+
+// Word returns the members among ids 64w..64w+63 as a bit mask (bit i
+// for id 64w+i), honoring the epoch: a word stale since the last Clear
+// reads as empty, and so does a word past the universe, matching Contains.
+//
+//khcore:hotpath
+func (s *Set) Word(w int) uint64 {
+	if uint(w) >= uint(len(s.words)) {
+		return 0
+	}
+	return s.word(w)
 }
 
 // touch validates v's word for the current epoch and returns its index.

@@ -161,3 +161,31 @@ func TestAddRemoveIdempotent(t *testing.T) {
 		t.Fatalf("double Remove: Count = %d", s.Count())
 	}
 }
+
+// TestWordMatchesContains checks that Word(w) has bit i set exactly when
+// Contains(64w+i) holds: after adds, across a Clear (stale words read
+// empty), in the last partial word, and past the universe.
+func TestWordMatchesContains(t *testing.T) {
+	s := New(150)
+	check := func(label string) {
+		t.Helper()
+		for w := 0; w < 4; w++ {
+			word := s.Word(w)
+			for i := 0; i < 64; i++ {
+				if got, want := word>>i&1 == 1, s.Contains(64*w+i); got != want {
+					t.Fatalf("%s: Word(%d) bit %d = %v, Contains(%d) = %v", label, w, i, got, 64*w+i, want)
+				}
+			}
+		}
+	}
+	for _, v := range []int{0, 63, 64, 65, 127, 128, 149} {
+		s.Add(v)
+	}
+	check("after adds")
+	s.Clear()
+	s.Add(70)
+	check("after Clear")
+	s.Fill()
+	s.Remove(149)
+	check("after Fill")
+}
