@@ -52,11 +52,13 @@ race-approx:
 # the differential edit-stream property suite (bit-identical to
 # from-scratch after every batch), the repair peel's interior loss bound
 # on cut-vertex shapes (TestLossBoundRepairExact), the typed-edit and
-# cancellation contracts, the CSR splice differential and the /mutate
+# cancellation contracts, the CSR splice differential, the seed
+# invalidation rule and the exactness of the maintainer's h-degree cache
+# (TestSeedEditInvalidation, TestHDegreeCacheExact) and the /mutate
 # serving surface, all under the race detector — repeated across a
 # GOMAXPROCS matrix by CI.
 race-incr:
-	go test -race -run 'TestIncr|TestMaintainer|TestSplice|TestMutate|TestLossBound' ./internal/core/ ./internal/graph/ ./cmd/khserve/ .
+	go test -race -run 'TestIncr|TestMaintainer|TestSplice|TestMutate|TestLossBound|TestSeedEditInvalidation|TestHDegreeCacheExact' ./internal/core/ ./internal/incr/ ./internal/graph/ ./cmd/khserve/ .
 
 # chaos builds the module with the fault-injection sites compiled in and
 # storms the engine pool and the serving daemon with seeded panics,

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/gen"
 )
 
@@ -28,6 +29,46 @@ func TestSampleBudgetFor(t *testing.T) {
 	for _, c := range cases {
 		if got := SampleBudgetFor(c.eps, c.conf); got != c.want {
 			t.Errorf("SampleBudgetFor(%v, %v) = %d, want %d", c.eps, c.conf, got, c.want)
+		}
+	}
+}
+
+// TestApproxCounterGolden pins the deterministic work counters of the
+// approximate tier at ε = 0.3 and seed 7: visits, h-degree computations,
+// decrements, sampled expansions and truncated balls, at 1 and 2 workers.
+// The sampled estimates depend only on (seed, vertex), so the counters
+// must not move with the worker count. A change that moves them on
+// purpose updates them here, with the before and after recorded in
+// CHANGES.md.
+func TestApproxCounterGolden(t *testing.T) {
+	golden := []struct {
+		name                                          string
+		h                                             int
+		visits, hdegs, decrements, samples, truncated int64
+	}{
+		{"FBco", 3, 896138, 2000, 236053, 61606, 3290},
+		{"caHe", 3, 500116, 2800, 134842, 66170, 2764},
+		{"lj", 2, 7547100, 20000, 1973265, 237612, 3258},
+	}
+	for _, c := range golden {
+		g, err := datasets.Load(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			eng := NewEngine(g, workers)
+			var res Result
+			err := eng.DecomposeInto(&res, Options{H: c.h, Approx: ApproxOptions{Enabled: true, Epsilon: 0.3, Seed: 7}})
+			eng.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Stats
+			got := [5]int64{st.Visits, st.HDegreeComputations, st.Decrements, st.Approx.SamplesDrawn, st.Approx.TruncatedBalls}
+			if want := [5]int64{c.visits, c.hdegs, c.decrements, c.samples, c.truncated}; got != want {
+				t.Errorf("%s h=%d, %d workers: visits, h-degree computations, decrements, samples, truncated balls %v; want %v",
+					c.name, c.h, workers, got, want)
+			}
 		}
 	}
 }

@@ -104,6 +104,7 @@ func TestChaosIncrementalMaintenance(t *testing.T) {
 				t.Fatalf("edit %d: %v", i, cerr)
 			}
 		}
+		checkHDegreeCache(t, m, false, fmt.Sprintf("edit %d", i))
 	}
 
 	// Coverage: the campaign must have reached both incremental sites.
@@ -129,4 +130,50 @@ func TestChaosIncrementalMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	decomposeEqual(t, m.Core(), want.Core, "post-storm recovery")
+	checkHDegreeCache(t, m, false, "post-storm recovery")
+}
+
+// TestChaosHDegreeCache injects a panic at each incremental fault site —
+// the closure (IncrRegion) and the repair after its h-degree counts
+// (IncrSplice) — into a localized caveman update. A recovered panic
+// leaves every entry of the maintainer's h-degree cache unknown; the
+// Refresh that repairs the pending region and the localized updates
+// after it must keep every known entry exact while the cache refills.
+func TestChaosHDegreeCache(t *testing.T) {
+	leakcheck.Check(t)
+	g, block := cavemanBlocks(12, 8)
+	m, err := NewMaintainer(g, 2, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	stream := cavemanStream(g, block, 5, 12)
+	for i, site := range []faultinject.Site{faultinject.IncrRegion, faultinject.IncrSplice} {
+		faultinject.Enable(faultinject.Plan{Seed: chaosSeed(t), PanicRate: 1, Sites: []faultinject.Site{site}})
+		err := m.ApplyBatch(context.Background(), stream[i])
+		faultinject.Disable()
+		if !errors.Is(err, ErrEnginePanic) || !m.Stale() {
+			t.Fatalf("%s: got %v (stale %v), want an injected panic", site, err, m.Stale())
+		}
+		for v, d := range m.hdeg {
+			if d >= 0 {
+				t.Fatalf("%s: vertex %d's h-degree %d survived the panic", site, v, d)
+			}
+		}
+		if err := m.Refresh(context.Background()); err != nil {
+			t.Fatalf("%s: refresh: %v", site, err)
+		}
+		checkHDegreeCache(t, m, false, fmt.Sprintf("%s: refresh", site))
+	}
+	for i, batch := range stream[2:] {
+		if err := m.ApplyBatch(context.Background(), batch); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		checkHDegreeCache(t, m, false, fmt.Sprintf("batch %d", i))
+	}
+	want, err := Decompose(m.Graph(), Options{H: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decomposeEqual(t, m.Core(), want.Core, "after the panics")
 }

@@ -356,7 +356,10 @@ type Engine struct {
 
 	// incrOld is the localized-repair undo log: the dirty region's
 	// pre-edit core indices, snapshot by repairRegionCtx (see repair.go).
-	incrOld []int32
+	// incrMiss lists the region vertices whose h-degree the maintainer's
+	// cache lacks.
+	incrOld  []int32
+	incrMiss []int32
 
 	// bcast is the lock-free settled-vertex broadcast for the parallel
 	// interval path: bcast[v] holds core(v)+1 once some interval solver

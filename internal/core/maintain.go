@@ -39,6 +39,16 @@ import (
 // next update's repair — the carried values outside the pending region
 // stay sound throughout. Stale reports the condition; Refresh repairs
 // the pending region without applying new edits.
+//
+// Exact h-degrees, the main cost of every peel, carry across updates:
+// hdeg holds each vertex's raw h-degree in the current graph (unmasked,
+// whole vertex set), filled from the h-degree phase of every full run.
+// An edit can change only its seeds' balls (internal/incr's invalidation
+// fact), so each update marks just the seeds unknown, and the closure
+// and the repair count only the entries they miss. Every seed is in the
+// region and the repair counts every missing region entry, so each
+// successful localized update leaves the cache complete, and a 1-worker
+// update's work counters depend on the graph and the batch alone.
 type Maintainer struct {
 	h         int
 	opts      Options
@@ -48,6 +58,10 @@ type Maintainer struct {
 	core      []int32
 	finder    *incr.Finder
 	lastStats Stats
+	// hdeg[v] is v's h-degree in g, or < 0 when unknown: a seed of an
+	// interrupted update, or every entry after a recovered panic (which
+	// may strike between the splice and the insert seeding).
+	hdeg []int32
 
 	// Pending-repair state of a canceled or panicked update. stale is
 	// raised while an update's repair is in flight and cleared on
@@ -105,6 +119,7 @@ func NewMaintainerCtx(ctx context.Context, g *graph.Graph, h int, opts Options) 
 	for v, c := range m.res.Core {
 		m.core[v] = int32(c)
 	}
+	m.hdeg = append(m.hdeg, m.eng.degH[:len(m.core)]...)
 	m.lastStats = m.res.Stats
 	return m, nil
 }
@@ -203,6 +218,10 @@ func (m *Maintainer) ApplyBatch(ctx context.Context, edits []incr.Edit) (err err
 			// owed repair survives the swap.
 			m.eng.Close()
 			m.eng = NewEngine(m.g, m.opts.Workers)
+			m.hdeg = m.hdeg[:m.g.NumVertices()]
+			for v := range m.hdeg {
+				m.hdeg[v] = -1
+			}
 			err = &EnginePanicError{Op: "ApplyBatch", Value: r, Stack: debug.Stack()}
 		}
 	}()
@@ -227,8 +246,13 @@ func (m *Maintainer) ApplyBatch(ctx context.Context, edits []incr.Edit) (err err
 		}
 	}
 
+	// A vertex the batch creates starts isolated, at h-degree 0; one the
+	// batch connects is an insert endpoint, hence a seed.
+	for len(m.hdeg) < newN {
+		m.hdeg = append(m.hdeg, 0)
+	}
 	f := m.finder
-	f.Reset(newN)
+	f.Reset(newN, m.hdeg)
 	seedStart := time.Now()
 	// Delete seeds run on the old graph — the paths that vanish with a
 	// deleted edge exist only there.
@@ -297,7 +321,7 @@ func (m *Maintainer) ApplyBatch(ctx context.Context, edits []incr.Edit) (err err
 
 	peelStart := time.Now()
 	if localized {
-		changed, err := m.eng.repairRegionCtx(ctx, m.core, region, boundary, m.h, m.opts)
+		changed, err := m.eng.repairRegionCtx(ctx, m.core, m.hdeg, region, boundary, m.h, m.opts)
 		if err != nil {
 			m.deferPending(f)
 			return err
@@ -404,6 +428,7 @@ func (m *Maintainer) deferPending(f *incr.Finder) {
 // sound for the batch's direction — previous indices lower-bound the new
 // ones after pure insertion and upper-bound them after pure deletion —
 // and cold when the batch mixes directions or carries pending state.
+// The run's h-degree phase refills the h-degree cache.
 func (m *Maintainer) fullRedecompose(ctx context.Context, cold bool, inserts, deletes int) error {
 	if !cold {
 		switch {
@@ -420,6 +445,7 @@ func (m *Maintainer) fullRedecompose(ctx context.Context, cold bool, inserts, de
 	for _, c := range m.res.Core {
 		m.core = append(m.core, int32(c))
 	}
+	m.hdeg = append(m.hdeg[:0], m.eng.degH[:len(m.core)]...)
 	return nil
 }
 

@@ -35,8 +35,14 @@ import (
 // region snapshot is the complete undo — and the caller keeps serving
 // the pre-edit indices while recording the region as pending.
 //
+// hdeg is the maintainer's raw h-degree cache for the edited graph
+// (< 0 = unknown). The region's known entries seed the peel as they
+// are; only the misses are counted, batched through the pool, and
+// written back once the batch has finished uncanceled, so a complete
+// cache stays complete and exact.
+//
 //khcore:vset-caller-epoch pinned setLB
-func (e *Engine) repairRegionCtx(ctx context.Context, cores []int32, region, boundary []int32, h int, opts Options) (int, error) {
+func (e *Engine) repairRegionCtx(ctx context.Context, cores, hdeg []int32, region, boundary []int32, h int, opts Options) (int, error) {
 	e.cancel.bindRun(ctx)
 	defer e.cancel.release()
 	if e.cancel.stop() {
@@ -57,10 +63,22 @@ func (e *Engine) repairRegionCtx(ctx context.Context, cores []int32, region, bou
 		e.incrOld[i] = cores[v]
 	}
 	// Exact h-degrees of the region against the full vertex set — the
-	// h-BZ seeding invariant, batched through the pool.
-	s.stats.HDegreeComputations += e.pool.HDegrees(region, h, s.alive, s.deg)
+	// h-BZ seeding invariant: cached entries as they are, the misses
+	// batched through the pool.
+	e.incrMiss = e.incrMiss[:0]
+	for _, v := range region {
+		if d := hdeg[v]; d >= 0 {
+			s.deg[v] = d
+		} else {
+			e.incrMiss = append(e.incrMiss, v)
+		}
+	}
+	s.stats.HDegreeComputations += e.pool.HDegrees(e.incrMiss, h, s.alive, s.deg)
 	if e.cancel.stop() {
 		return 0, CanceledError(ctx) // nothing written yet
+	}
+	for _, v := range e.incrMiss {
+		hdeg[v] = s.deg[v]
 	}
 	faultinject.Here(faultinject.IncrSplice)
 	kmax := 0

@@ -8,7 +8,7 @@
 // the published core array; everything outside region ∪ boundary is
 // provably untouched and never visited.
 //
-// The region computation rests on three locality facts:
+// The region computation rests on four locality facts:
 //
 //   - a vertex's radius-h ball can only change if it lies within
 //     distance h−1 of an edited endpoint (the new or removed path must
@@ -27,7 +27,17 @@
 //     masked to the candidate's own ball, so their cost — like the
 //     closure's — is proportional to the region, not the graph. This is
 //     what keeps a uniform-core neighborhood (grids, lattices) from
-//     flooding the closure.
+//     flooding the closure;
+//   - invalidation: across a whole batch, a vertex whose radius-h ball
+//     differs between the graph before and the graph after is a seed —
+//     within distance h−1 of a deleted endpoint in the graph before, or
+//     of an inserted endpoint in the graph after. A ≤h path that exists
+//     on one side only uses an edited edge, and its start lies within
+//     h−1 of that edge's nearer endpoint on that side. So a cache of raw
+//     h-degrees stays exact across the batch once the seeds are marked
+//     unknown, and a localized update recounts only seeds: every seed
+//     is in the region, and the repair counts every region vertex the
+//     cache lacks.
 //
 // The closure is conservative: it may include vertices whose index ends
 // up unchanged, but it never excludes a changing one, which is what the
@@ -151,10 +161,14 @@ type Finder struct {
 	dropRefused  map[int32]int
 	upAdds       int
 	downAdds     int
-	// hdeg caches raw h-degrees in the post-edit graph (-1 = not yet
-	// computed). The graph is fixed for the whole update, so the window
-	// floods' riser tests and canRaise's pre-filter pay one exact h-BFS
-	// per vertex per update instead of one capped h-BFS per probe.
+	// hdeg is the caller's raw h-degree cache, lent for one update by
+	// Reset: hdeg[v] is v's h-degree in the whole current graph, or < 0
+	// when unknown. SeedEdit marks every seed unknown (the invalidation
+	// fact in the package comment), so the entries it leaves hold across
+	// the edit, and rawHDeg counts and stores the misses in the post-edit
+	// graph. The window floods' riser tests and canRaise's pre-filter
+	// thus pay at most one exact h-BFS per vertex, and none for a vertex
+	// the edit cannot reach.
 	hdeg []int32
 	// ballOff / ballArena cache unmasked radius-h balls for the bound
 	// graph: the closure's expansions and the probes' window floods
@@ -192,8 +206,12 @@ func NewFinder() *Finder {
 	}
 }
 
-// Reset clears the finder for an update over a graph of n vertices.
-func (f *Finder) Reset(n int) {
+// Reset clears the finder for an update over a graph of n vertices and
+// lends it hdeg (length n), the caller's raw h-degree cache: every entry
+// ≥ 0 must equal the vertex's h-degree in the graph the first SeedEdit
+// runs on. The finder keeps the cache exact across the update (see the
+// hdeg field) and leaves every seed it did not count unknown.
+func (f *Finder) Reset(n int, hdeg []int32) {
 	f.n = n
 	f.r.Resize(n)
 	f.up.Resize(n)
@@ -210,13 +228,7 @@ func (f *Finder) Reset(n int) {
 	clear(f.dropRefused)
 	f.upAdds = 0
 	f.downAdds = 0
-	if cap(f.hdeg) < n {
-		f.hdeg = make([]int32, n)
-	}
-	f.hdeg = f.hdeg[:n]
-	for i := range f.hdeg {
-		f.hdeg[i] = -1
-	}
+	f.hdeg = hdeg
 	clear(f.ballOff)
 	f.ballArena = f.ballArena[:0]
 }
@@ -244,14 +256,15 @@ func (f *Finder) cachedBall(v, h int) []int32 {
 	return append([]int32(nil), ball...)
 }
 
-// rawHDeg returns v's h-degree in the (post-edit) graph, computed once
-// per update and cached: the graph is fixed for the whole closure, so
-// unlike the masked probe degrees this value cannot change under it.
+// rawHDeg returns v's h-degree in the (post-edit) graph from the lent
+// cache, counting and storing it on a miss: the graph is fixed for the
+// whole closure, so unlike the masked probe degrees this value cannot
+// change under it. A miss only counts; it builds no ball into the arena.
 func (f *Finder) rawHDeg(v, h int) int32 {
 	if d := f.hdeg[v]; d >= 0 {
 		return d
 	}
-	d := int32(len(f.cachedBall(v, h)))
+	d := int32(f.tp.HDegree(v, h, nil))
 	f.hdeg[v] = d
 	return d
 }
@@ -316,7 +329,8 @@ func (f *Finder) addSeed(v int, up, down bool) bool {
 // Insert, the graph already containing it. up/down select the direction
 // tags (an insert seeds up, a delete seeds down; pending recovery seeds
 // both). Seeds are admitted unconditionally — their support genuinely
-// changed.
+// changed — and their entries in the lent h-degree cache are marked
+// unknown: no other vertex's ball can change with the edit.
 func (f *Finder) SeedEdit(g *graph.Graph, h int, e Edit, up, down bool) {
 	f.bind(g)
 	f.wball = f.wball[:0]
@@ -342,6 +356,7 @@ func (f *Finder) SeedEdit(g *graph.Graph, h int, e Edit, up, down bool) {
 		}
 	}
 	for _, v := range f.wball {
+		f.hdeg[v] = -1
 		if f.addSeed(int(v), up, down) {
 			grew = true
 		}
@@ -654,9 +669,6 @@ func (f *Finder) Boundary() []int32 {
 // covered too much of the graph; the region is then incomplete and the
 // caller must fall back to a full re-decomposition.
 func (f *Finder) NonLocal() bool { return f.aborted }
-
-// InRegion reports whether v is currently in the dirty region.
-func (f *Finder) InRegion(v int) bool { return v < f.n && f.r.Contains(v) }
 
 // Regions returns the number of connected dirty regions the seed balls
 // coalesced into (see Stats.Regions).
