@@ -1,8 +1,7 @@
 # Developer entry points. CI runs `make bench-smoke` plus a full
 # `go test -race ./internal/... .` (which covers the race-parallel subset
 # below). The repository's benchmark is khbench (`bash khbench/run.sh`,
-# see khbench/README.md); the BENCH_*.json files at the root are frozen
-# records of earlier harness runs and are no longer regenerated.
+# see khbench/README.md).
 
 .PHONY: build test lint race race-parallel race-approx race-incr chaos bench-smoke
 

@@ -56,8 +56,9 @@ const minSampleBudget = 4
 // uses as its upper envelope (Algorithm 5); per-vertex error against the
 // exact core index is bounded in expectation by Epsilon relative to the
 // graph's h-degeneracy, and the realized bound of a run is reported in
-// Stats.Approx.ErrorBound. Accuracy/latency trade-offs across epsilon
-// settings are recorded in BENCH_sampling.json.
+// Stats.Approx.ErrorBound. `khexp approx` sweeps the accuracy/latency
+// trade-off across epsilon settings; khbench's approx_ms and approx_err
+// track one setting on every run.
 type ApproxOptions struct {
 	// Enabled switches the run to the approximate path. Requires the
 	// default HLBUB algorithm.
@@ -157,8 +158,9 @@ type ApproxStats struct {
 	// ball sizes, and the peeling level a vertex settles at inherits
 	// error on that scale, so the h-degree maximum — not the (much
 	// smaller) degeneracy — is the honest normalizer. Observed errors on
-	// the benchmark graphs sit well inside the bound and are recorded
-	// alongside it in BENCH_sampling.json.
+	// the benchmark graphs sit well inside the bound:
+	// TestApproxErrorWithinBound checks it, and khbench's approx_err
+	// reports the observed error on every run.
 	ErrorBound int
 	// PhaseEstimate / PhasePeel are the wall-times of the two pipeline
 	// phases, mirroring the exact path's Phase* metrics.

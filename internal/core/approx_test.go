@@ -230,7 +230,7 @@ func TestApproxStatsReport(t *testing.T) {
 // TestApproxErrorWithinBound: on the benchmark-family graph the observed
 // per-vertex core-index error of an approximate run must stay within the
 // advertised Stats.Approx.ErrorBound — the accuracy half of the
-// acceptance criterion recorded in BENCH_sampling.json.
+// approximate tier's contract.
 func TestApproxErrorWithinBound(t *testing.T) {
 	g := gen.BarabasiAlbert(1000, 4, 97)
 	for _, h := range []int{2, 3} {

@@ -373,9 +373,10 @@ type Engine struct {
 	// to a graph (NewEngine, Reset): whether Algorithm 5 runs the
 	// level-synchronous peel and HLBUB drains its intervals concurrently.
 	// Both need more than one pool worker and more than one schedulable
-	// CPU — on GOMAXPROCS=1 the fan-out costs 20–45% end to end for no
-	// gain (BENCH_parallel.json notes) — unless forceParallelSchedule is
-	// set.
+	// CPU — on GOMAXPROCS=1 the fan-out cost 20–45% end to end for no
+	// gain, in a 1-CPU measurement made before khbench (the retired
+	// BENCH_parallel.json, kept in the repository history) — unless
+	// forceParallelSchedule is set.
 	parallel bool
 
 	// fixedSlack, when positive, pins the headroom of every truncated

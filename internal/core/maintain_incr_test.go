@@ -431,3 +431,67 @@ func TestIncrVertexGrowth(t *testing.T) {
 	}
 	decomposeEqual(t, m.Core(), want.Core, "after growth batch")
 }
+
+// twoERBlobs returns two disjoint ER(40, 120) blobs (seeds 3 and 4) on
+// vertices 0..39 and 40..79: no edit in one can reach the other.
+func twoERBlobs() *graph.Graph {
+	b := graph.NewBuilder(0)
+	for i, blob := range []*graph.Graph{gen.ErdosRenyi(40, 120, 3), gen.ErdosRenyi(40, 120, 4)} {
+		off := 40 * i
+		for v := 0; v < 40; v++ {
+			for _, u := range blob.Neighbors(v) {
+				if v < int(u) {
+					b.AddEdge(v+off, int(u)+off)
+				}
+			}
+		}
+	}
+	return b.Build()
+}
+
+// TestIncrLocalityFloor pins how many h = 1 random batches stay
+// localized on two sparse graphs where locality exists, checking every
+// batch against a from-scratch decomposition. The floors are the counts
+// the rise probe's window certificate reaches: a probe that refuses less
+// (deleting the eviction fixpoint, say, or shrinking the window) recruits
+// whole blobs and pushes these streams into full-run fallbacks.
+func TestIncrLocalityFloor(t *testing.T) {
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		floor int
+	}{
+		{"two-er-blobs", twoERBlobs(), 31},
+		{"erdos-renyi", gen.ErdosRenyi(70, 140, 7), 37},
+	}
+	const batches = 40
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := NewMaintainer(c.g, 1, Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			rng := gen.NewRNG(5)
+			localized := 0
+			for i := 0; i < batches; i++ {
+				batch := randomBatch(t, m, rng, 1+rng.Intn(3))
+				if err := m.ApplyBatch(context.Background(), batch); err != nil {
+					t.Fatalf("batch %d: %v", i, err)
+				}
+				if m.LastStats().Incr.Localized {
+					localized++
+				}
+				want, err := Decompose(m.Graph(), Options{H: 1, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				decomposeEqual(t, m.Core(), want.Core, fmt.Sprintf("after batch %d", i))
+			}
+			t.Logf("%d of %d batches localized", localized, batches)
+			if localized < c.floor {
+				t.Errorf("%d of %d batches localized, want at least %d", localized, batches, c.floor)
+			}
+		})
+	}
+}

@@ -86,11 +86,11 @@ func cavemanStream(g *graph.Graph, block []int32, seed uint64, batches int) [][]
 // updates them here, with the before and after recorded in CHANGES.md.
 func TestRepairCounterGolden(t *testing.T) {
 	const (
-		visits     = 271840
-		hdegs      = 5531
-		decrements = 19422
-		region     = 3092
-		boundary   = 2531
+		visits     = 208318
+		hdegs      = 3806
+		decrements = 13568
+		region     = 2269
+		boundary   = 2603
 	)
 	g, block := cavemanBlocks(40, 3)
 	m, err := NewMaintainer(g, 2, Options{Workers: 1})

@@ -29,8 +29,7 @@ type ApproxRow struct {
 // enough to rerun per epsilon.
 var approxDatasets = []string{"jazz", "cele", "FBco"}
 
-// approxEpsilons is the epsilon sweep of the experiment and of
-// BENCH_sampling.json.
+// approxEpsilons is the experiment's epsilon sweep.
 var approxEpsilons = []float64{0.1, 0.2, 0.3, 0.5}
 
 // Approx sweeps the sampling budget across epsilon settings and measures

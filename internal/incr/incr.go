@@ -19,15 +19,18 @@
 //     — so candidacy propagates only along direction-monotone chains
 //     rooted at the seeds;
 //   - a candidate only *admits* if a masked support probe says its index
-//     can actually move: to rise past c it needs > c potential
-//     supporters (old index > c, or themselves rise candidates)
-//     mutually reachable within distance h through such vertices, and
-//     it provably cannot fall while ≥ c untainted supporters (old index
-//     ≥ c, not fall candidates) remain so reachable. The probes run
-//     masked to the candidate's own ball, so their cost — like the
-//     closure's — is proportional to the region, not the graph. This is
-//     what keeps a uniform-core neighborhood (grids, lattices) from
-//     flooding the closure;
+//     can actually move. To rise past c it must lie in the new graph's
+//     (c+1,h)-core, whose members all have old index > c or raw h-degree
+//     > c: a one-shot test first counts such vertices within distance h
+//     of the candidate, through such vertices only, and refuses below
+//     c+1; a survivor then faces a window certificate, the greatest
+//     self-supporting group of such vertices around it. Both read only
+//     the graph and the old indices. A candidate provably cannot fall
+//     while ≥ c untainted supporters (old index ≥ c, not fall
+//     candidates) remain reachable within distance h through such
+//     vertices. The probes run masked to balls around the candidate, so
+//     their cost — like the closure's — grows with the region, not the
+//     graph;
 //   - invalidation: across a whole batch, a vertex whose radius-h ball
 //     differs between the graph before and the graph after is a seed —
 //     within distance h−1 of a deleted endpoint in the graph before, or
@@ -148,27 +151,27 @@ type Finder struct {
 	rcount  int
 	aborted bool
 	regions int
-	// raiseRefused / dropRefused memoize admission-probe refusals, keyed
-	// by the size of the direction's tag set at refusal time. A refusal
-	// depends on the graph (fixed during a closure) and the tag set, and
-	// can only flip when that set grows — so a re-offer against an
-	// unchanged set skips the probe, and a refusal that did not consult
-	// the tag set at all (epoch permanentRefusal) is never re-probed.
+	// raiseRefused and dropRefused memoize admission-probe refusals.
 	// Inside a dense block every region vertex re-offers the same fringe,
 	// making this the difference between O(region) and O(region²) probe
-	// invocations per closure.
-	raiseRefused map[int32]int
+	// invocations per closure. A rise refusal depends only on the graph
+	// (fixed during a closure) and coreOld, so raiseRefused is a set. A
+	// drop refusal may also depend on the down-tag set, and can only flip
+	// when that set grows: dropRefused keys it by the set's size at
+	// refusal time (downAdds), so a re-offer against an unchanged set
+	// skips the probe, and a refusal that did not consult the set at all
+	// (epoch permanentRefusal) is never re-probed.
+	raiseRefused *vset.Set
 	dropRefused  map[int32]int
-	upAdds       int
 	downAdds     int
 	// hdeg is the caller's raw h-degree cache, lent for one update by
 	// Reset: hdeg[v] is v's h-degree in the whole current graph, or < 0
 	// when unknown. SeedEdit marks every seed unknown (the invalidation
 	// fact in the package comment), so the entries it leaves hold across
 	// the edit, and rawHDeg counts and stores the misses in the post-edit
-	// graph. The window floods' riser tests and canRaise's pre-filter
-	// thus pay at most one exact h-BFS per vertex, and none for a vertex
-	// the edit cannot reach.
+	// graph. canRaise's pre-filter, one-shot test and window floods thus
+	// pay at most one exact h-BFS per vertex, and none for a vertex the
+	// edit cannot reach.
 	hdeg []int32
 	// ballOff / ballArena cache unmasked radius-h balls for the bound
 	// graph: the closure's expansions and the probes' window floods
@@ -200,7 +203,7 @@ func NewFinder() *Finder {
 		b:            vset.New(0),
 		mask:         vset.New(0),
 		wseen:        vset.New(0),
-		raiseRefused: make(map[int32]int),
+		raiseRefused: vset.New(0),
 		dropRefused:  make(map[int32]int),
 		ballOff:      make(map[int32][2]int),
 	}
@@ -224,9 +227,8 @@ func (f *Finder) Reset(n int, hdeg []int32) {
 	f.rcount = 0
 	f.aborted = false
 	f.regions = 0
-	clear(f.raiseRefused)
+	f.raiseRefused.Resize(n)
 	clear(f.dropRefused)
-	f.upAdds = 0
 	f.downAdds = 0
 	f.hdeg = hdeg
 	clear(f.ballOff)
@@ -305,7 +307,6 @@ func (f *Finder) addSeed(v int, up, down bool) bool {
 	appended := fresh
 	if up && !f.up.Contains(v) {
 		f.up.Add(v)
-		f.upAdds++
 		if !appended {
 			f.rlist = append(f.rlist, int32(v))
 			appended = true
@@ -381,41 +382,48 @@ func (f *Finder) SeedVertex(v int, up, down bool) {
 // correctness — and is bounded in turn by the closure's non-local abort.
 const raiseBudget = 64
 
-// permanentRefusal marks a memoized refusal that consulted only the
-// graph, never the direction tag set — growth of the set cannot flip it,
-// so it is never re-probed during the update.
+// permanentRefusal marks a memoized drop refusal that consulted only the
+// graph, never the down-tag set — growth of the set cannot flip it, so it
+// is never re-probed during the update.
 const permanentRefusal = -1
 
 // canRaise is the up-admission probe: can w's core index rise past its
-// old value, to k = coreOld[w]+1? A single masked degree test cannot
-// answer this — vertices can rise only *together* (each supplying the
-// others' support), and for h ≥ 2 the degree-locality theorem that makes
-// one-shot tests tight for classic cores fails, which is the source
-// paper's own starting point. So the probe computes a bounded
-// greatest-fixpoint certificate instead:
+// old value, to k = coreOld[w]+1? Its refusals rest on two facts: a
+// vertex's core index never exceeds its h-degree, and a vertex whose
+// index rises to k lies in the new graph's (k,h)-core C_k. Every member
+// of C_k has a new index ≥ k, so its old index is ≥ k or its raw h-degree
+// in the new graph is ≥ k; call such vertices *potential supporters*. A
+// single masked degree test cannot always answer — vertices can rise only
+// *together* (each supplying the others' support), and for h ≥ 2 the
+// degree-locality theorem that makes one-shot tests tight for classic
+// cores fails, which is the source paper's own starting point — so the
+// probe runs three tests, cheapest first:
 //
-//  1. Window flood: collect the potential co-risers reachable from w —
-//     vertices of old index < k that could conceivably reach k (their
-//     raw h-degree in the new graph clears k; a vertex's core index
-//     never exceeds its h-degree) or are already up-tagged — expanding
-//     ball-by-ball through them, and noting as *definite* every ball
-//     member with old index ≥ k. Every ≤h path from a window vertex
-//     stays inside its ball, so the window plus its definite fringe
-//     contains every vertex that could participate in a rising group
-//     around w.
-//  2. Eviction fixpoint: optimistically assume all window risers rise,
-//     then repeatedly evict any riser whose masked h-degree over
-//     definite ∪ surviving risers cannot reach k. The surviving set is
-//     the greatest fixpoint — the maximal self-supporting potential
-//     group. A true rising group is self-certifying, and eviction never
-//     removes a member of a self-certifying subset (its first casualty
-//     would still have had full support — contradiction), so if w is
-//     evicted, w provably cannot rise.
+//  1. Pre-filter: w's own raw h-degree must clear k.
+//  2. One-shot ball test: w must have ≥ k potential supporters within
+//     distance h, counted over paths through potential supporters only.
+//     If w rises to k, at least k members of C_k reach it by paths of
+//     length ≤ h inside C_k; such paths stay in w's ball, and every
+//     vertex on them is a potential supporter. So a failed count proves
+//     w cannot rise.
+//  3. Window certificate. Window flood: collect the potential co-risers
+//     reachable from w — potential supporters of old index < k —
+//     expanding ball-by-ball through them, and noting as *definite*
+//     every ball member with old index ≥ k. Every ≤h path from a window
+//     vertex stays inside its ball, so the window plus its definite
+//     fringe contains every member of C_k around w. Eviction fixpoint:
+//     optimistically assume all window risers rise, then repeatedly evict
+//     any riser whose masked h-degree over definite ∪ surviving risers
+//     cannot reach k. The surviving set is the greatest fixpoint. No
+//     member of C_k is ever evicted (its first casualty would still have
+//     had full support — contradiction), so if w is evicted, w provably
+//     cannot rise. If the flood exceeds raiseBudget the certificate is
+//     abandoned and the probe returns true (recruit): truncated eviction
+//     would under-count support and could evict a true riser, which is
+//     the one unsound direction.
 //
-// If the flood exceeds raiseBudget the certificate is abandoned and the
-// probe returns true (recruit): truncated eviction would under-count
-// support and could evict a true riser, which is the one unsound
-// direction.
+// Each test reads only the graph and coreOld, never the direction tags,
+// so each refusal is final for the update and recorded in raiseRefused.
 //
 // A successful certificate is shared: every surviving window riser y has
 // masked h-degree ≥ k ≥ coreOld[y]+1 over the surviving set, and the
@@ -426,30 +434,28 @@ const permanentRefusal = -1
 // the repair re-peels exactly); what it buys is one probe per rising
 // group instead of one per member.
 //
-// canRaise owns its refusal memo (raiseRefused): a memoized refusal at
-// the current upAdds epoch — or a permanent one — short-circuits, and
-// every refusing exit records itself at the epoch its evidence depends
-// on. The pre-filter refusal consulted only the graph, so it is recorded
-// permanent; fixpoint refusals consulted the up-tag set and expire when
-// it grows.
-//
-//khcore:vset-caller-epoch mask wseen
+//khcore:vset-caller-epoch mask wseen raiseRefused
 func (f *Finder) canRaise(h, w int, coreOld []int32) bool {
-	if e, ok := f.raiseRefused[int32(w)]; ok && (e == permanentRefusal || e == f.upAdds) {
+	if f.raiseRefused.Contains(w) {
 		return false
 	}
 	k := int(coreOld[w]) + 1
-	// Pre-filter: a vertex's core index never exceeds its h-degree, so if
-	// w's raw h-degree in the new graph falls short of k no co-riser group
-	// can carry it there — refuse after one ball instead of flooding a
-	// window and running the eviction fixpoint. This is the common case on
-	// saturated dense neighborhoods, where old indices sit at the h-degree
-	// ceiling already.
 	if f.rawHDeg(w, h) < int32(k) {
-		f.raiseRefused[int32(w)] = permanentRefusal
+		f.raiseRefused.Add(w)
 		return false
 	}
 	m := f.mask // alive mask: definite supporters ∪ unevicted risers
+	m.Clear()
+	m.Add(w)
+	for _, z := range f.cachedBall(w, h) {
+		if int(coreOld[z]) >= k || f.rawHDeg(int(z), h) >= int32(k) {
+			m.Add(int(z))
+		}
+	}
+	if !f.tp.HDegreeAtLeast(w, h, m, k) {
+		f.raiseRefused.Add(w)
+		return false
+	}
 	m.Clear()
 	f.wseen.Clear()
 	f.wlist = append(f.wlist[:0], int32(w))
@@ -469,7 +475,7 @@ func (f *Finder) canRaise(h, w int, coreOld []int32) bool {
 				m.Add(z) // definite: supports everyone, never evicted
 				continue
 			}
-			if !f.up.Contains(z) && f.rawHDeg(z, h) < int32(k) {
+			if f.rawHDeg(z, h) < int32(k) {
 				continue // cannot reach k even in the full new graph
 			}
 			if len(f.wlist) >= raiseBudget {
@@ -488,19 +494,14 @@ func (f *Finder) canRaise(h, w int, coreOld []int32) bool {
 			}
 			if !f.tp.HDegreeAtLeast(y, h, m, k) {
 				if y == w {
-					// Eviction only shrinks: the verdict is final. It consulted
-					// the up-tag set (window membership), so it expires with it.
-					f.raiseRefused[int32(w)] = f.upAdds
+					// Eviction only shrinks: the verdict is final.
+					f.raiseRefused.Add(w)
 					return false
 				}
 				m.Remove(y)
 				changed = true
 			}
 		}
-	}
-	if !m.Contains(w) {
-		f.raiseRefused[int32(w)] = f.upAdds
-		return false
 	}
 	// Shared certificate: the surviving fixpoint witnesses every surviving
 	// riser at once (see the doc comment), so admit them all here rather
@@ -524,10 +525,10 @@ func (f *Finder) canRaise(h, w int, coreOld []int32) bool {
 // drops every tainted vertex, changed or not), which again errs
 // conservative: certificate fails ⇒ w stays a candidate.
 //
-// Like canRaise, canDrop owns its refusal memo (dropRefused): an index-0
-// refusal never consults the down-tag set and is permanent; a
-// sufficient-support refusal counted untainted (un-down-tagged)
-// supporters and expires when the set grows.
+// canDrop owns its refusal memo (dropRefused): an index-0 refusal never
+// consults the down-tag set and is permanent; a sufficient-support
+// refusal counted untainted (un-down-tagged) supporters and expires when
+// the set grows.
 //
 //khcore:vset-caller-epoch mask
 func (f *Finder) canDrop(h, w int, coreOld []int32) bool {
@@ -565,16 +566,17 @@ func (f *Finder) canDrop(h, w int, coreOld []int32) bool {
 // lift vertices at or above x's old level — and symmetrically a
 // down-tagged x offers a down candidacy to w with coreOld[w] ≤
 // coreOld[x]. An offer admits only if the direction's support probe says
-// w's index can actually move given the current candidate sets; admitted
-// vertices inherit the tag and re-expand, and because a vertex re-enters
-// the worklist whenever its tag set grows, every earlier-refused
-// neighbor is re-probed whenever new candidates appear in its ball — the
-// fixpoint retest that makes refusal sound. (Re-offers while the
-// direction's tag set is unchanged since the last refusal skip the probe
-// via the refusal memo: a probe's verdict depends only on the graph and
-// that set, so re-running it could not flip the answer.) Every ball member, admitted
-// or not, is recorded as a boundary candidate, which makes the final
-// boundary exactly the distance-≤h insulation the repair peel pins.
+// w's index can actually move; admitted vertices inherit the tag and
+// re-expand. A rise probe reads only the graph and coreOld, so its
+// refusal is final. A drop probe also reads the down-tag set, and
+// because a vertex re-enters the worklist whenever its tag set grows,
+// every earlier-refused neighbor is re-offered whenever new candidates
+// appear in its ball — the fixpoint retest that makes drop refusal sound.
+// (Re-offers while the down-tag set is unchanged since the last refusal
+// skip the probe via the refusal memo: re-running it could not flip the
+// answer.) Every ball member, admitted or not, is recorded as a boundary
+// candidate, which makes the final boundary exactly the distance-≤h
+// insulation the repair peel pins.
 //
 // Balls run on the post-edit graph with no alive mask: causes that acted
 // through deleted edges are covered by the delete seeds (any old path
