@@ -32,13 +32,13 @@ race:
 
 # race-parallel is the CI smoke of the concurrent h-LB+UB path: the
 # parallel-vs-sequential equivalence property, engine reuse, the
-# EnginePool concurrent-load tests, the mid-peel cancellation property
-# and the peel's interior loss-bound exactness shapes under the race
-# detector. The core tests among them open the engine's schedule decision
+# EnginePool concurrent-load tests, the mid-peel cancellation property,
+# the peel's interior loss-bound exactness shapes and the 1- and 2-worker
+# work-counter goldens under the race detector. The core tests among them open the engine's schedule decision
 # through its one test hook (forceParallel), so the concurrent paths run
 # at any GOMAXPROCS.
 race-parallel:
-	go test -race -run 'TestParallel|TestEngine|TestCancel|TestLossBound' ./internal/core/ .
+	go test -race -run 'TestParallel|TestEngine|TestCancel|TestLossBound|TestHLBUBCounterGolden|TestParallelWorkersMatchSequential' ./internal/core/ .
 
 # race-approx is the CI smoke of the sampling-based approximate path: the
 # worker-count determinism property, the cancellation property and the

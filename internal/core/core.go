@@ -361,14 +361,6 @@ type Engine struct {
 	incrOld  []int32
 	incrMiss []int32
 
-	// bcast is the lock-free settled-vertex broadcast for the parallel
-	// interval path: bcast[v] holds core(v)+1 once some interval solver
-	// has settled v (0 = not yet published). Lower intervals read it as a
-	// monotone hint to convert already-settled vertices straight into
-	// carriers instead of re-peeling them; correctness never depends on a
-	// read observing a publish. nil outside a parallel HLBUB fan-out.
-	bcast []int32
-
 	// parallel is the engine's one schedule decision, made when it binds
 	// to a graph (NewEngine, Reset): whether Algorithm 5 runs the
 	// level-synchronous peel and HLBUB drains its intervals concurrently.

@@ -37,8 +37,8 @@ func (e *Engine) runHLBUB() error {
 	// Lines 3–6: initial h-degrees, LB2, LB3 ← 0 (parallel, §4.6). The
 	// batch reports how many sources it actually evaluated, so the stat
 	// stays honest when an alive mask (or a dead vertex) shrinks the work.
-	// Each pipeline stage records its wall-time so BENCH files carry the
-	// Amdahl split directly.
+	// Each pipeline stage records its wall-time, which khbench reports as
+	// the core.phase_*_ms layers.
 	t0 := time.Now()
 	e.degH = growInt32(e.degH, n)
 	e.stats.HDegreeComputations += e.pool.HDegrees(e.allVerts(), e.h, e.alive0(), e.degH)
@@ -82,9 +82,10 @@ func (e *Engine) runHLBUB() error {
 	e.planIntervals(ub, lb2, solvers)
 
 	t0 = time.Now()
-	parallel := solvers > 1 && len(e.intervals) > 1
-	if parallel {
+	bound := e.sv[:1]
+	if solvers > 1 && len(e.intervals) > 1 {
 		e.runIntervalsParallel(ub, lb2)
+		bound = e.sv[:e.parSolvers]
 	} else {
 		e.runIntervalsSequential(ub, lb2)
 	}
@@ -92,28 +93,25 @@ func (e *Engine) runHLBUB() error {
 	if e.cancel.stop() {
 		return nil // abandoned intervals settle nothing; the caller reports the cancellation
 	}
-	return e.checkSettled(parallel)
+	return e.checkSettled(bound)
 }
 
 // checkSettled reports, as an error wrapping ErrInvalidResult, the first
 // vertex the interval phase left unsettled: every vertex's core index
 // lies in exactly one interval, so a completed run has settled them all,
 // and a vertex that was not would otherwise keep its zeroed core index
-// silently. Settles are read from the sequential solver's assigned set
-// or, after the parallel fan-out, from the settled-vertex broadcast,
-// which every settle publishes. O(n); it allocates only on failure.
-func (e *Engine) checkSettled(parallel bool) error {
-	assigned := e.sv[0].assigned
+// silently. sv holds the solvers the run bound (the sequential solver, or
+// the fan-out's fleet); a vertex is settled when one of their assigned
+// sets holds it. O(n·len(sv)); it allocates only on failure.
+func (e *Engine) checkSettled(sv []*partitionSolver) error {
+next:
 	for v := 0; v < e.g.NumVertices(); v++ {
-		var settled bool
-		if parallel {
-			settled = e.bcast[v] != 0 //khcore:atomic-ok read after the fan-out's workers have quiesced
-		} else {
-			settled = assigned.Contains(v)
+		for _, s := range sv {
+			if s.assigned.Contains(v) {
+				continue next
+			}
 		}
-		if !settled {
-			return fmt.Errorf("%w: h-LB+UB left vertex %d unsettled", ErrInvalidResult, v)
-		}
+		return fmt.Errorf("%w: h-LB+UB left vertex %d unsettled", ErrInvalidResult, v)
 	}
 	return nil
 }
@@ -242,7 +240,7 @@ func (e *Engine) runIntervalsSequential(ub, lb2 []int32) {
 		// Lines 15–18: seed the bucket queue — with the settled-vertex
 		// carry, so vertices assigned by a higher interval are never
 		// re-processed — and resolve core indices in [kmin, kmax].
-		s.seedQueue(kmin, kmax, true)
+		s.seedQueue(kmin, kmax)
 		s.coreDecomp(kmin, kmax)
 	}
 }
@@ -271,30 +269,14 @@ func (e *Engine) runIntervalsParallel(ub, lb2 []int32) {
 	for len(e.sv) < w {
 		e.sv = append(e.sv, newPartitionSolver())
 	}
-	// Arm the settled-vertex broadcast: one atomic slot per vertex,
-	// zeroed (= unpublished) each run. Solvers publish core(v)+1 when
-	// they settle v and consult the array before re-peeling a vertex a
-	// higher interval already resolved — the lock-free analogue of the
-	// sequential carry. Publishes only ever move a slot 0 → final value,
-	// so any read is either the exact settled index or a harmless miss.
-	e.bcast = growInt32(e.bcast, e.g.NumVertices())
-	for i := range e.bcast { //khcore:atomic-ok epoch reset before the interval fan-out starts
-		e.bcast[i] = 0
-	}
 	for _, s := range e.sv[:w] {
 		// nil pool: inside a Run job the batch kernels are off-limits
 		// (worker 0 would deadlock); inter-interval concurrency replaces
 		// intra-batch concurrency here.
 		s.bind(e.g, e.core, e.h, e.fixedSlack, nil, &e.cancel)
-		s.bcast = e.bcast
 	}
 	e.parUB, e.parLB2 = ub, lb2
 	e.cursor.Store(0)
 	e.pool.Run(e.parJob)
 	e.parUB, e.parLB2 = nil, nil
-	for _, s := range e.sv[:w] {
-		// Detach: solver 0 doubles as the sequential arena, which must
-		// never consult a stale broadcast on a later serial run.
-		s.bcast = nil
-	}
 }

@@ -196,40 +196,53 @@ func TestImproveLBCancelMidCascade(t *testing.T) {
 	}
 }
 
-// TestHLBUBCounterGolden pins the deterministic 1-worker work counters of
-// HLBUB on four datasets, so a change that loses (or gains) work shows up
-// as a failing test rather than as drift in a benchmark record. caAs
-// exercises ImproveLB's capped-dip waves; jazz has none. FBco h=2 and
-// caHe h=3 have cores well past k = 128, where the recount headroom grows
-// with k. A change that moves these numbers on purpose updates them here,
-// with the before and after recorded in CHANGES.md.
+// TestHLBUBCounterGolden pins the work counters of HLBUB on four
+// datasets, so a change that loses (or gains) work shows up as a failing
+// test rather than as drift in a benchmark record. caAs exercises
+// ImproveLB's capped-dip waves; jazz has none. FBco h=2 and caHe h=3 have
+// cores well past k = 128, where the recount headroom grows with k. The
+// 1-worker row is the serial carry path. The 2-worker row, under
+// forceParallel, is the parallel Algorithm-5 peel plus the interval
+// fan-out: its solvers share no mutable state, so each interval does the
+// same work whichever solver claims it and the counters repeat exactly
+// (the same values hold at 3 workers, which plan the same intervals). A
+// change that moves these numbers on purpose updates them here, with the
+// before and after recorded in CHANGES.md.
 func TestHLBUBCounterGolden(t *testing.T) {
+	forceParallel(t)
+	type counters struct{ visits, hdegs, decrements, partitions int64 }
 	golden := []struct {
-		name                      string
-		h                         int
-		visits, hdegs, decrements int64
+		name     string
+		h        int
+		one, two counters
 	}{
-		{"jazz", 2, 191679, 1989, 19161},
-		{"caAs", 2, 1368160, 16327, 158065},
-		{"FBco", 2, 3686922, 11543, 407696},
-		{"caHe", 3, 6177959, 16032, 616310},
+		{"jazz", 2, counters{191679, 1989, 19161, 8}, counters{195646, 2028, 17909, 8}},
+		{"caAs", 2, counters{1368160, 16327, 158065, 7}, counters{1599312, 19214, 184348, 7}},
+		{"FBco", 2, counters{3686922, 11543, 407696, 7}, counters{4731620, 15288, 431855, 7}},
+		{"caHe", 3, counters{6177959, 16032, 616310, 7}, counters{7722745, 20360, 620161, 7}},
 	}
 	for _, c := range golden {
 		g, err := datasets.Load(c.name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := NewEngine(g, 1)
-		var res Result
-		err = eng.DecomposeInto(&res, Options{H: c.h})
-		eng.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := res.Stats
-		if st.Visits != c.visits || st.HDegreeComputations != c.hdegs || st.Decrements != c.decrements {
-			t.Errorf("%s h=%d: visits %d, h-degree computations %d, decrements %d; want %d, %d, %d",
-				c.name, c.h, st.Visits, st.HDegreeComputations, st.Decrements, c.visits, c.hdegs, c.decrements)
+		for _, run := range []struct {
+			workers int
+			want    counters
+		}{{1, c.one}, {2, c.two}} {
+			eng := NewEngine(g, run.workers)
+			var res Result
+			err = eng.DecomposeInto(&res, Options{H: c.h})
+			eng.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Stats
+			got := counters{st.Visits, st.HDegreeComputations, st.Decrements, int64(st.Partitions)}
+			if got != run.want {
+				t.Errorf("%s h=%d workers=%d: visits, h-degree computations, decrements, partitions = %v; want %v",
+					c.name, c.h, run.workers, got, run.want)
+			}
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 // forceParallel opens the engine's schedule decision regardless of the
 // host's GOMAXPROCS — the interval fan-out AND the level-synchronous
 // Algorithm-5 peel — for every multi-worker engine the test builds
-// afterwards, so these tests exercise the real machinery (including the
-// settled-vertex broadcast) even on a single-core machine, where the
-// engine would otherwise — correctly — take the serial paths.
+// afterwards, so these tests exercise the real machinery even on a
+// single-core machine, where the engine would otherwise — correctly —
+// take the serial paths.
 func forceParallel(t *testing.T) {
 	t.Helper()
 	old := forceParallelSchedule

@@ -9,9 +9,10 @@ import (
 
 // TestCheckSettledReportsUnsettledVertex drives the end-of-run check of
 // the h-LB+UB interval phase directly on a solver state: after a complete
-// run it passes, and with one vertex's settle taken back — from the
-// sequential solver's assigned set, or from the broadcast after the
-// parallel fan-out — it returns an error wrapping ErrInvalidResult.
+// run it passes, and with one vertex's settle taken back — from whichever
+// bound solver's assigned set holds it: the sequential solver, or one of
+// the parallel fan-out's fleet — it returns an error wrapping
+// ErrInvalidResult.
 func TestCheckSettledReportsUnsettledVertex(t *testing.T) {
 	forceParallel(t)
 	g := gen.BarabasiAlbert(300, 3, 4)
@@ -21,20 +22,28 @@ func TestCheckSettledReportsUnsettledVertex(t *testing.T) {
 		if err := eng.DecomposeInto(&res, Options{H: 2}); err != nil {
 			t.Fatal(err)
 		}
-		parallel := workers > 1
-		if parallel && eng.parSolvers < 2 {
-			t.Fatalf("workers=%d: the interval fan-out did not run", workers)
+		bound := eng.sv[:1]
+		if workers > 1 {
+			if eng.parSolvers < 2 {
+				t.Fatalf("workers=%d: the interval fan-out did not run", workers)
+			}
+			bound = eng.sv[:eng.parSolvers]
 		}
-		if err := eng.checkSettled(parallel); err != nil {
+		if err := eng.checkSettled(bound); err != nil {
 			t.Fatalf("workers=%d: complete run reported %v", workers, err)
 		}
 		const v = 17
-		if parallel {
-			eng.bcast[v] = 0
-		} else {
-			eng.sv[0].assigned.Remove(v)
+		held := 0
+		for _, s := range bound {
+			if s.assigned.Contains(v) {
+				s.assigned.Remove(v)
+				held++
+			}
 		}
-		err := eng.checkSettled(parallel)
+		if held != 1 {
+			t.Fatalf("workers=%d: vertex %d settled by %d solvers, want 1", workers, v, held)
+		}
+		err := eng.checkSettled(bound)
 		if !errors.Is(err, ErrInvalidResult) {
 			t.Fatalf("workers=%d: vertex %d unsettled, check returned %v", workers, v, err)
 		}

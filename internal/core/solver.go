@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/hbfs"
@@ -44,16 +42,6 @@ type partitionSolver struct {
 	// cancel is the engine's per-run cancellation broadcast; the peeling
 	// and cleaning loops poll it, amortized by cancelCheckMask.
 	cancel *cancelState
-	// bcast, when non-nil, is the engine's lock-free settled-vertex
-	// broadcast (parallel h-LB+UB only): bcast[v] = core(v)+1 once any
-	// solver settles v, 0 while unpublished. Solvers publish their own
-	// settles and read other intervals' to convert already-settled
-	// vertices straight into carriers — the concurrent analogue of the
-	// sequential carry. Reads are monotone hints: a slot moves 0 → final
-	// value exactly once, so a load returns either the true settled index
-	// or a miss that merely forfeits the shortcut. nil outside a parallel
-	// fan-out (bind clears it; runIntervalsParallel re-attaches it).
-	bcast []int32
 
 	// alive marks vertices present in the current (sub)graph.
 	alive *vset.Set
@@ -124,7 +112,6 @@ func (s *partitionSolver) bind(g *graph.Graph, core []int32, h, pin int, pool *h
 	s.pin = pin
 	s.pool = pool
 	s.cancel = cancel
-	s.bcast = nil // re-attached per fan-out by runIntervalsParallel
 	if pool != nil {
 		s.t = pool.Traversal(0)
 	}
@@ -208,68 +195,41 @@ func (s *partitionSolver) buildPartition(kmin int, ub []int32) bool {
 // seedQueue seeds the bucket queue for one interval (Algorithm 4 lines
 // 15–17), after improveLB has cleaned the partition. Carriers — vertices
 // provably settling above kmax — sit at a key above every level this
-// interval peels, so they contribute distances but are never re-processed:
-// with carryAssigned (the serial path) a carrier is a vertex settled by a
-// higher interval, keyed at its final core index; without it (a parallel
-// solver, which cannot see other intervals' settles) a carrier is a vertex
-// whose LB3 already exceeds kmax, keyed at that bound. Unsettled vertices
-// whose h-degree survived the cleaning untouched are seeded with that
-// exact degree (saving the lazy re-computation); cleaning-affected ones
-// fall back to their best lower bound with the lazy flag raised — and
-// truncated counts keep the capped flag up, so the peeling re-counts them
-// on demand.
+// interval peels, so they contribute distances but are never re-processed.
+// A vertex's carrier key is the best lower bound the solver holds on its
+// core index: max(LB3, its final core index if this solver settled it),
+// and the vertex is a carrier iff that key exceeds kmax. On the serial
+// path intervals settle top-down, so every vertex above kmax is already
+// assigned; a parallel solver claims intervals bottom-up, so its own
+// settles all lie below kmin and only LB3 can make a carrier. Unsettled
+// vertices whose h-degree survived the cleaning untouched are seeded with
+// that exact degree (saving the lazy re-computation); cleaning-affected
+// ones fall back to their best lower bound with the lazy flag raised —
+// and truncated counts keep the capped flag up, so the peeling re-counts
+// them on demand.
 //
 //khcore:hotpath
 //khcore:vset-caller-epoch setLB
-func (s *partitionSolver) seedQueue(kmin, kmax int, carryAssigned bool) {
+func (s *partitionSolver) seedQueue(kmin, kmax int) {
 	s.q.Clear()
 	for _, v := range s.part {
 		if !s.alive.Contains(int(v)) {
 			continue
 		}
-		carrier, key := false, 0
-		if carryAssigned {
-			if s.assigned.Contains(int(v)) {
-				carrier = true
-				key = int(s.core[v])
-				if int(s.lb3[v]) > key {
-					key = int(s.lb3[v])
-				}
-			}
-		} else {
-			// A parallel solver cannot see its own engine-mates' settles
-			// through `assigned`, but the broadcast may already carry the
-			// exact core index a higher interval published — the same
-			// carrier conversion the serial carry gets for free. A missed
-			// publish just falls through to the LB3 test.
-			if s.bcast != nil {
-				if c := int(atomic.LoadInt32(&s.bcast[v])) - 1; c > kmax {
-					carrier, key = true, c
-				}
-			}
-			if !carrier && int(s.lb3[v]) > kmax {
-				carrier = true
-				key = int(s.lb3[v])
-			}
+		key := int(s.lb3[v])
+		if s.assigned.Contains(int(v)) && int(s.core[v]) > key {
+			key = int(s.core[v])
 		}
 		switch {
-		case carrier:
+		case key > kmax:
 			s.setLB.Add(int(v))
 			s.q.insert(int(v), key)
 		case !s.dirty.Contains(int(v)):
 			s.setLB.Remove(int(v))
-			key = int(s.deg[v])
-			if key < kmin-1 {
-				key = kmin - 1
-			}
-			s.q.insert(int(v), key)
+			s.q.insert(int(v), max(int(s.deg[v]), kmin-1))
 		default:
 			s.setLB.Add(int(v))
-			key = int(s.lb3[v])
-			if key < kmin-1 {
-				key = kmin - 1
-			}
-			s.q.insert(int(v), key)
+			s.q.insert(int(v), max(key, kmin-1))
 		}
 	}
 }
@@ -290,7 +250,7 @@ func (s *partitionSolver) solveInterval(kmin, kmax int, ub, lb2 []int32) {
 	s.capped.Clear()
 	s.setLB.Clear()
 	s.improveLB(s.part, kmin, kmax)
-	s.seedQueue(kmin, kmax, false)
+	s.seedQueue(kmin, kmax)
 	s.coreDecomp(kmin, kmax)
 }
 
@@ -354,21 +314,6 @@ func (s *partitionSolver) coreDecomp(kmin, kmax int) {
 					s.removeAndUpdate(v, k)
 					continue
 				}
-				// Before paying a truncated recount, consult the broadcast:
-				// a higher interval may have settled v mid-peel (its true
-				// core exceeds kmax, so this interval could never settle it
-				// — only re-count it at every level it gets parked at).
-				// Converting it into a carrier above kmax keeps it alive as
-				// a distance carrier while removeAndUpdate skips it from
-				// now on, exactly like a seedQueue-time carrier.
-				if s.bcast != nil {
-					if c := int(atomic.LoadInt32(&s.bcast[v])) - 1; c > kmax {
-						s.setLB.Add(v)
-						s.capped.Remove(v)
-						s.q.insert(v, c)
-						continue
-					}
-				}
 				// Lazily count the h-degree w.r.t. the alive set, but only
 				// far enough to place v relative to the frontier.
 				cap := k + 1 + s.headroom(k)
@@ -391,11 +336,6 @@ func (s *partitionSolver) coreDecomp(kmin, kmax int) {
 			if k >= kmin {
 				s.core[v] = int32(k)
 				s.assigned.Add(v)
-				if s.bcast != nil {
-					// Publish for lower intervals still peeling: they may
-					// now carrier-convert v instead of re-processing it.
-					atomic.StoreInt32(&s.bcast[v], int32(k)+1)
-				}
 			}
 			s.setLB.Add(v)
 			s.removeAndUpdate(v, k)

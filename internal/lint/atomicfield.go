@@ -8,8 +8,8 @@ import (
 // AtomicField enforces the shared-state contract behind bit-identical
 // parallelism: a struct field that is ever accessed through sync/atomic
 // (anywhere in the module) must be accessed through sync/atomic
-// everywhere — a plain read or write of Engine.ubdeg's elements or the
-// settled-vertex bcast array while a fan-out might be in flight is the
+// everywhere — a plain read or write of the elements of Engine.ubdeg or
+// Engine.ubStamp while an Algorithm-5 round might be in flight is the
 // exact data-race class the race-parallel tests exist to catch, except
 // the analyzer catches it before the schedule does. Serial-phase plain
 // access is legitimate and stays available through //khcore:atomic-ok
