@@ -11,7 +11,9 @@
 // lives in per-worker partitionSolver arenas owned by the Engine: solver 0
 // serves the sequential algorithms, and the h-LB+UB partitions — which are
 // independent by construction (Observation 3) — are resolved concurrently
-// by one solver per pool worker when the engine has more than one.
+// by one solver per pool worker when the engine's schedule decision is
+// open (at least two pool workers and GOMAXPROCS > 1; see
+// Engine.parallel) and more than one interval is planned.
 // Repeated decompositions through one Engine allocate nothing in the
 // steady state; the package-level Decompose is a thin wrapper that builds
 // a throwaway Engine for one-shot callers.

@@ -15,15 +15,17 @@ import (
 // cannot reach h-degree kmin.
 //
 // The independence of the intervals is what the parallel path exploits:
-// with more than one pool worker, the planned intervals become a work
-// queue drained by one partitionSolver per worker, each on its own arena
-// over the shared read-only graph and bound arrays, and every interval
+// when the engine's schedule decision is open (Engine.parallel: at least
+// two pool workers and GOMAXPROCS > 1) and more than one interval is
+// planned, the intervals become a work queue drained by one
+// partitionSolver per worker, each on its own arena over the shared
+// read-only graph and bound arrays, and every interval
 // writes the core indices it settles directly into the shared output —
 // positions are disjoint because each vertex's core index falls in exactly
 // one interval, so the merged result is deterministic (and bit-identical
-// to the sequential path's, which remains in use for single-worker
-// engines: it carries settled vertices and LB3 raises across intervals,
-// an optimization only a serial schedule can exploit).
+// to the sequential path's, which every other run takes: it carries
+// settled vertices and LB3 raises across intervals, an optimization only
+// a serial schedule can exploit).
 //
 // A run that finishes uncanceled must have settled every vertex; one
 // that did not returns an error wrapping ErrInvalidResult (see

@@ -1,7 +1,6 @@
 // Persistent worker pool for batch h-degree computations, mirroring §4.6
 // of the paper (one h-BFS per vertex, dynamically assigned to threads).
-// Earlier revisions spawned fresh goroutines on every batch; the pool now
-// keeps long-lived helpers parked on a channel between batches, so the
+// Long-lived helpers stay parked on a channel between batches, so the
 // steady-state cost of a batch is one wake-up per helper plus the atomic
 // cursor traffic.
 //
@@ -10,7 +9,9 @@
 // callback. This is the hand-off the parallel partition peeling is built
 // on: the same parked helpers serve both the batch kernels and the
 // partition-solver goroutines, and since a Pool runs one job at a time by
-// contract, the two can never fight over workers.
+// contract, the two can never fight over workers. Every job — a batch
+// kernel, Balls or Run — goes through one publish/join routine (fanOut)
+// and one per-worker drain.
 package hbfs
 
 import (
@@ -31,11 +32,23 @@ const batchMin = 64
 // batchChunk is the number of vertices a worker claims per cursor bump.
 const batchChunk = 32
 
+// kernel names the job a fan-out publishes: one of the per-vertex batch
+// kernels, or a Run job.
+type kernel uint8
+
+const (
+	kernelHDegree kernel = iota // HDegrees
+	kernelCapped                // HDegreesCapped
+	kernelSampled               // HDegreesSampled
+	kernelBall                  // Balls
+	kernelJob                   // Run
+)
+
 // Pool runs batch h-degree computations with a fixed number of workers.
-// Helper goroutines are spawned lazily on the first large batch and then
-// persist, parked between batches, until Close releases them — an
-// unclosed multi-worker Pool leaks them. The publishing goroutine doubles
-// as worker 0, so a single-worker pool never spawns anything. Visit counts
+// Helper goroutines are spawned lazily on the first fan-out and then
+// persist, parked between jobs, until Close releases them — an unclosed
+// multi-worker Pool leaks them. The publishing goroutine doubles as
+// worker 0, so a single-worker pool never spawns anything. Visit counts
 // from all workers aggregate into the pool. A Pool is NOT safe for
 // concurrent use: one batch (or Run job) at a time.
 type Pool struct {
@@ -43,34 +56,25 @@ type Pool struct {
 	workers int
 	travs   []*Traversal
 
-	// The published batch. Written by the publisher before the helpers are
+	// The published job. Written by the publisher before the helpers are
 	// woken, read by helpers, and cleared after wg resolves — the wake
-	// channel orders the writes, the WaitGroup orders the clear.
+	// channel orders the writes, the WaitGroup orders the clear. kind
+	// selects which of the remaining fields the drain reads.
+	kind  kernel
 	verts []int32
 	h     int
 	alive *vset.Set
 	out   []int32
-	cap   int // 0 = exact h-degrees, > 0 = capped kernel
+	limit int // kernelCapped: the count cap
 
-	// Sampled-batch mode (HDegreesSampled): when sampled is true the
-	// drain runs the budgeted estimation kernel instead of the exact one.
-	// Per-vertex RNG streams are derived from sampleSeed inside the
-	// kernel, so the estimates are independent of which worker — or how
-	// many workers — evaluate them.
-	sampled      bool
+	// kernelSampled: per-vertex RNG streams are derived from sampleSeed
+	// inside the kernel, so the estimates are independent of which
+	// worker — or how many workers — evaluate them.
 	sampleBudget int
 	sampleSeed   uint64
 
-	// job, when non-nil, replaces the batch drain: each woken worker calls
-	// job(workerIndex, traversal) exactly once (Run). Published and cleared
-	// under the same wake/wg ordering as the batch fields.
-	job func(worker int, t *Traversal)
-
-	// ballFn, when non-nil, replaces the h-degree drain with the Balls
-	// drain: workers claim cursor chunks and hand every claimed vertex's
-	// h-ball to the callback. Published and cleared under the same wake/wg
-	// ordering as the batch fields.
-	ballFn BallFunc
+	ballFn BallFunc                       // kernelBall
+	job    func(worker int, t *Traversal) // kernelJob: runs once per worker
 
 	// cancelFn, when non-nil, is polled by every worker between batch
 	// chunks; a true return makes the worker abandon the rest of the
@@ -85,20 +89,21 @@ type Pool struct {
 	wg        sync.WaitGroup
 
 	// panicked holds the first panic captured from any participant of the
-	// current batch / Run job / Balls fan-out. Helpers cannot let a panic
-	// escape (it would kill the process, not the request), so every
-	// participant — worker 0's inline drain included — runs under capture,
-	// and the publisher re-panics on its own goroutine after the WaitGroup
-	// join. That ordering guarantees the pool's workers have quiesced
-	// before the panic unwinds into the engine's caller, where EnginePool
-	// converts it into ErrEnginePanic and quarantines the engine.
+	// current fan-out. Helpers cannot let a panic escape (it would kill
+	// the process, not the request), so every participant — worker 0
+	// included — runs under capture, and the publisher re-panics on its
+	// own goroutine after the WaitGroup join. That ordering guarantees the
+	// pool's workers have quiesced before the panic unwinds into the
+	// engine's caller, where EnginePool converts it into ErrEnginePanic
+	// and quarantines the engine. A job run inline on worker 0 alone is
+	// not captured: its panic unwinds with its original stack.
 	panicked atomic.Pointer[capturedPanic]
 
 	// wake carries worker indices 1..workers-1. Addressing the wake-ups by
 	// index (rather than an anonymous token) is what enforces the
-	// once-per-worker contract of Run and the batch fan-out: a helper that
-	// finishes early and loops back can only claim a *different* worker's
-	// index — with its traversal — never re-run its own.
+	// once-per-worker contract of a fan-out: a helper that finishes early
+	// and loops back can only claim a *different* worker's index — with
+	// its traversal — never re-run its own.
 	wake    chan int
 	quit    chan struct{}
 	spawned bool
@@ -113,7 +118,7 @@ type capturedPanic struct {
 	stack []byte
 }
 
-// capture is deferred by every batch participant; it parks the first
+// capture is deferred by every fan-out participant; it parks the first
 // panic of the job in p.panicked instead of letting it kill the process.
 // Later panics of the same job lose the CAS and are dropped — one
 // representative failure is enough to quarantine the engine.
@@ -158,13 +163,12 @@ func NewPool(g *graph.Graph, workers int) *Pool {
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.workers }
 
-// SetCancel installs a cancellation probe polled by every worker between
-// batch chunks (and by the inline small-batch path every chunk's worth of
-// sources): when fn reports true, workers abandon the remainder of the
-// batch, leaving the unvisited entries of the output array stale. fn must
-// be safe for concurrent use and cheap; nil removes the probe. Must be set
-// while no batch or Run job is in flight — typically once, at pool-owner
-// construction.
+// SetCancel installs a cancellation probe polled by every worker once per
+// batch chunk, inline batches included: when fn reports true, workers
+// abandon the remainder of the batch, leaving the unvisited entries of
+// the output array stale. fn must be safe for concurrent use and cheap;
+// nil removes the probe. Must be set while no batch or Run job is in
+// flight — typically once, at pool-owner construction.
 func (p *Pool) SetCancel(fn func() bool) { p.cancelFn = fn }
 
 // Reset re-binds every worker traversal to g, reusing scratch capacity.
@@ -188,21 +192,10 @@ func (p *Pool) Close() {
 	p.closed = true
 }
 
-// ensureHelpers spawns the persistent helper goroutines on first use.
-func (p *Pool) ensureHelpers() {
-	if p.spawned {
-		return
-	}
-	p.spawned = true
-	for i := 1; i < p.workers; i++ {
-		go helperLoop(p)
-	}
-}
-
 // helperLoop parks on the wake channel; each received index identifies the
 // worker (and traversal) to impersonate for one round of the published
-// batch (or Run job). The helpers are interchangeable — identity lives in
-// the channel message, so every published index runs exactly once.
+// job. The helpers are interchangeable — identity lives in the channel
+// message, so every published index runs exactly once.
 func helperLoop(p *Pool) {
 	for {
 		select {
@@ -214,54 +207,87 @@ func helperLoop(p *Pool) {
 	}
 }
 
-// work runs one woken worker's share of the published job under the
-// panic-capture guard. The deferred pair runs LIFO: capture first (so
-// the panic is parked before the publisher can observe quiescence), then
-// wg.Done — a panicking worker still counts as finished, which is what
-// lets the publisher's wg.Wait/rethrow sequence terminate.
+// work runs one worker's share of a fan-out under the panic-capture
+// guard. The deferred pair runs LIFO: capture first (so the panic is
+// parked before the publisher can observe quiescence), then wg.Done — a
+// panicking worker still counts as finished, which is what lets the
+// publisher's wg.Wait/rethrow sequence terminate.
 func (p *Pool) work(w int) {
 	defer p.wg.Done()
 	defer p.capture()
-	t := p.travs[w]
-	switch {
-	case p.job != nil:
-		p.job(w, t)
-	case p.ballFn != nil:
-		p.runBalls(w, t)
-	default:
-		p.run(t)
-	}
+	p.drain(w, p.travs[w])
 }
 
-// run drains batch chunks via the atomic cursor until the batch is empty
-// (or the owner's cancellation probe fires).
-func (p *Pool) run(t *Traversal) {
-	n := int64(len(p.verts))
+// fanOut runs the published job to completion, clears it and re-raises a
+// captured panic. The job runs on worker 0 alone, uncaptured, when it is
+// inline, the pool has one worker or the pool is closed. Otherwise the
+// helpers are woken (spawned on the first fan-out), the publisher joins
+// them as worker 0 and waits for all of them.
+func (p *Pool) fanOut(inline bool) {
+	p.cursor.Store(0)
+	if inline || p.workers == 1 || p.closed {
+		p.drain(0, p.travs[0])
+	} else {
+		if !p.spawned {
+			p.spawned = true
+			for i := 1; i < p.workers; i++ {
+				go helperLoop(p)
+			}
+		}
+		p.wg.Add(p.workers)
+		for w := 1; w < p.workers; w++ {
+			p.wake <- w
+		}
+		p.work(0)
+		p.wg.Wait()
+	}
+	p.verts, p.alive, p.out, p.ballFn, p.job = nil, nil, nil, nil, nil
+	p.rethrow()
+}
+
+// drain is worker w's share of the published job. A Run job runs once.
+// The other kernels claim batchChunk vertices off the cursor at a time,
+// polling the owner's cancellation probe and the BatchChunk fault site
+// once per chunk, until the batch is empty. The kernel is chosen once
+// per chunk, so each inner loop is that kernel's alone.
+func (p *Pool) drain(w int, t *Traversal) {
+	if p.kind == kernelJob {
+		p.job(w, t)
+		return
+	}
+	verts, h, alive, out := p.verts, p.h, p.alive, p.out
+	n := int64(len(verts))
 	var evaluated int64
 	for {
-		if p.cancelFn != nil && p.cancelFn() {
+		start := p.cursor.Add(batchChunk) - batchChunk
+		if start >= n || (p.cancelFn != nil && p.cancelFn()) {
 			break
 		}
 		faultinject.Here(faultinject.BatchChunk)
-		start := p.cursor.Add(batchChunk) - batchChunk
-		if start >= n {
-			break
-		}
-		end := start + batchChunk
-		if end > n {
-			end = n
-		}
-		for _, v := range p.verts[start:end] {
-			if p.alive == nil || p.alive.Contains(int(v)) {
-				evaluated++
+		chunk := verts[start:min(start+batchChunk, n)]
+		switch p.kind {
+		case kernelBall:
+			for _, v := range chunk {
+				ball, shell := t.Ball(int(v), h, alive)
+				p.ballFn(w, v, ball, shell)
 			}
-			switch {
-			case p.sampled:
-				p.out[v] = int32(t.HDegreeSampled(int(v), p.h, p.alive, p.sampleBudget, p.sampleSeed))
-			case p.cap > 0:
-				p.out[v] = int32(t.HDegreeCapped(int(v), p.h, p.alive, p.cap))
-			default:
-				p.out[v] = int32(t.HDegree(int(v), p.h, p.alive))
+			continue
+		case kernelHDegree:
+			for _, v := range chunk {
+				out[v] = int32(t.HDegree(int(v), h, alive))
+			}
+		case kernelCapped:
+			for _, v := range chunk {
+				out[v] = int32(t.HDegreeCapped(int(v), h, alive, p.limit))
+			}
+		case kernelSampled:
+			for _, v := range chunk {
+				out[v] = int32(t.HDegreeSampled(int(v), h, alive, p.sampleBudget, p.sampleSeed))
+			}
+		}
+		for _, v := range chunk {
+			if alive == nil || alive.Contains(int(v)) {
+				evaluated++
 			}
 		}
 	}
@@ -281,73 +307,16 @@ type BallFunc func(worker int, v int32, ball []int32, shellStart int)
 // Algorithm-5 peel: it computes Ball(v, h, alive) for every vertex in
 // verts, dynamically distributed over the pool's workers via the atomic
 // cursor, and hands each result to fn on the worker that produced it.
-// Small batches (under batchMin) run inline on worker 0, so
-// the frequent tiny frontiers of a bucket peel never pay a helper
-// wake-up. The owner's cancellation probe is polled between chunks, like
-// the h-degree kernels.
+// It shares the batch kernels' inline rule: a batch under batchMin runs
+// on worker 0 alone, so the frequent tiny frontiers of a bucket peel
+// never pay a helper wake-up. The owner's cancellation probe is polled
+// between chunks, like the h-degree kernels.
 func (p *Pool) Balls(verts []int32, h int, alive *vset.Set, fn BallFunc) {
 	if len(verts) == 0 || fn == nil {
 		return
 	}
-	if p.workers == 1 || p.closed || len(verts) < batchMin {
-		t := p.travs[0]
-		for i, v := range verts {
-			if i%batchChunk == 0 {
-				if p.cancelFn != nil && p.cancelFn() {
-					break
-				}
-				faultinject.Here(faultinject.BatchChunk)
-			}
-			ball, shell := t.Ball(int(v), h, alive)
-			fn(0, v, ball, shell)
-		}
-		return
-	}
-	p.ensureHelpers()
-	p.verts, p.h, p.alive, p.ballFn = verts, h, alive, fn
-	p.cursor.Store(0)
-	helpers := p.workers - 1
-	p.wg.Add(helpers)
-	for i := 1; i <= helpers; i++ {
-		p.wake <- i
-	}
-	p.runBallsCaptured(0, p.travs[0])
-	p.wg.Wait()
-	p.verts, p.alive, p.ballFn = nil, nil, nil
-	p.rethrow()
-}
-
-// runBallsCaptured is worker 0's drain: identical to the helpers' except
-// the capture guard parks a panic for rethrow instead of letting it skip
-// the wg.Wait below (which would leave helpers racing cleared state).
-func (p *Pool) runBallsCaptured(worker int, t *Traversal) {
-	defer p.capture()
-	p.runBalls(worker, t)
-}
-
-// runBalls drains ball chunks via the atomic cursor until the batch is
-// empty (or the owner's cancellation probe fires).
-func (p *Pool) runBalls(worker int, t *Traversal) {
-	n := int64(len(p.verts))
-	fn := p.ballFn
-	for {
-		if p.cancelFn != nil && p.cancelFn() {
-			break
-		}
-		faultinject.Here(faultinject.BatchChunk)
-		start := p.cursor.Add(batchChunk) - batchChunk
-		if start >= n {
-			break
-		}
-		end := start + batchChunk
-		if end > n {
-			end = n
-		}
-		for _, v := range p.verts[start:end] {
-			ball, shell := t.Ball(int(v), p.h, p.alive)
-			fn(worker, v, ball, shell)
-		}
-	}
+	p.kind, p.verts, p.h, p.alive, p.ballFn = kernelBall, verts, h, alive, fn
+	p.fanOut(len(verts) < batchMin)
 }
 
 // Visits returns the cumulative vertex-visit count across all workers.
@@ -393,38 +362,19 @@ func (p *Pool) Traversal(i int) *Traversal { return p.travs[i] }
 
 // Run invokes fn(worker, traversal) concurrently on every pool worker —
 // once per worker, each with its own index and dedicated Traversal — and
-// returns when all invocations have completed. The publishing goroutine
-// doubles as worker 0, so a single-worker (or closed) pool runs fn inline
-// with no goroutine traffic. fn typically loops over an external work
-// queue (an atomic cursor) until it is drained.
+// returns when all invocations have completed. It shares the batch
+// kernels' inline rule, minus the size test: a single-worker (or closed)
+// pool runs fn on worker 0 alone with no goroutine traffic. fn typically
+// loops over an external work queue (an atomic cursor) until it is
+// drained.
 //
 // Run and the batch kernels share the same parked helper goroutines and
 // the same one-job-at-a-time contract, so callers never have batch BFS
 // work and Run jobs competing for a worker: fn must not invoke the pool's
 // batch kernels (worker 0 would deadlock waiting on itself).
 func (p *Pool) Run(fn func(worker int, t *Traversal)) {
-	if p.workers == 1 || p.closed {
-		fn(0, p.travs[0])
-		return
-	}
-	p.ensureHelpers()
-	p.job = fn
-	helpers := p.workers - 1
-	p.wg.Add(helpers)
-	for i := 1; i <= helpers; i++ {
-		p.wake <- i
-	}
-	p.jobCaptured(0, p.travs[0])
-	p.wg.Wait()
-	p.job = nil
-	p.rethrow()
-}
-
-// jobCaptured runs worker 0's share of a Run job under the capture
-// guard, mirroring runBallsCaptured.
-func (p *Pool) jobCaptured(w int, t *Traversal) {
-	defer p.capture()
-	p.job(w, t)
+	p.kind, p.job = kernelJob, fn
+	p.fanOut(false)
 }
 
 // HDegrees computes deg^h_{G[alive]}(v) for every vertex in verts, writing
@@ -433,7 +383,7 @@ func (p *Pool) jobCaptured(w int, t *Traversal) {
 // number of live sources actually evaluated — dead sources (absent from
 // alive) cost nothing and report 0.
 func (p *Pool) HDegrees(verts []int32, h int, alive *vset.Set, out []int32) int64 {
-	return p.batch(verts, h, alive, out, 0)
+	return p.batch(kernelHDegree, verts, h, alive, out)
 }
 
 // HDegreesCapped is the batched threshold kernel: out[v] = min(deg^h(v),
@@ -447,7 +397,8 @@ func (p *Pool) HDegreesCapped(verts []int32, h int, alive *vset.Set, cap int, ou
 		}
 		return 0
 	}
-	return p.batch(verts, h, alive, out, cap)
+	p.limit = cap
+	return p.batch(kernelCapped, verts, h, alive, out)
 }
 
 // HDegreesSampled is the batched estimation kernel behind the approximate
@@ -459,62 +410,20 @@ func (p *Pool) HDegreesCapped(verts []int32, h int, alive *vset.Set, cap int, ou
 // decides who computes an estimate, never what it is. budget ≤ 0 degrades
 // to the exact batch kernel. Returns the number of live sources evaluated.
 func (p *Pool) HDegreesSampled(verts []int32, h int, alive *vset.Set, budget int, seed uint64, out []int32) int64 {
-	p.sampled, p.sampleBudget, p.sampleSeed = true, budget, seed
-	evaluated := p.batch(verts, h, alive, out, 0)
-	p.sampled, p.sampleBudget, p.sampleSeed = false, 0, 0
-	return evaluated
+	p.sampleBudget, p.sampleSeed = budget, seed
+	return p.batch(kernelSampled, verts, h, alive, out)
 }
 
-func (p *Pool) batch(verts []int32, h int, alive *vset.Set, out []int32, cap int) int64 {
+// batch publishes one h-degree kernel over verts and returns the number of
+// live sources the workers evaluated.
+func (p *Pool) batch(k kernel, verts []int32, h int, alive *vset.Set, out []int32) int64 {
 	if len(verts) == 0 {
 		return 0
 	}
-	if p.workers == 1 || p.closed || len(verts) < batchMin {
-		t := p.travs[0]
-		var evaluated int64
-		for i, v := range verts {
-			if i%batchChunk == 0 {
-				if p.cancelFn != nil && p.cancelFn() {
-					break
-				}
-				faultinject.Here(faultinject.BatchChunk)
-			}
-			if alive == nil || alive.Contains(int(v)) {
-				evaluated++
-			}
-			switch {
-			case p.sampled:
-				out[v] = int32(t.HDegreeSampled(int(v), h, alive, p.sampleBudget, p.sampleSeed))
-			case cap > 0:
-				out[v] = int32(t.HDegreeCapped(int(v), h, alive, cap))
-			default:
-				out[v] = int32(t.HDegree(int(v), h, alive))
-			}
-		}
-		return evaluated
-	}
-	p.ensureHelpers()
-	p.verts, p.h, p.alive, p.out, p.cap = verts, h, alive, out, cap
-	p.cursor.Store(0)
+	p.kind, p.verts, p.h, p.alive, p.out = k, verts, h, alive, out
 	p.evaluated.Store(0)
-	helpers := p.workers - 1
-	p.wg.Add(helpers)
-	for i := 1; i <= helpers; i++ {
-		p.wake <- i
-	}
-	p.runCaptured(p.travs[0])
-	p.wg.Wait()
-	p.verts, p.alive, p.out = nil, nil, nil
-	evaluated := p.evaluated.Load()
-	p.rethrow()
-	return evaluated
-}
-
-// runCaptured is worker 0's h-degree drain under the capture guard,
-// mirroring runBallsCaptured.
-func (p *Pool) runCaptured(t *Traversal) {
-	defer p.capture()
-	p.run(t)
+	p.fanOut(len(verts) < batchMin)
+	return p.evaluated.Load()
 }
 
 // HDegreesAll computes the h-degree of every vertex of the graph (alive

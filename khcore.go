@@ -118,8 +118,9 @@ type Algorithm = core.Algorithm
 // Options.AllowBaseline so no serving path reaches it by accident.
 const (
 	// HLBUB adds the power-graph upper bound and independent top-down
-	// partitions (Algorithms 4–6); with Workers > 1 the partitions are
-	// peeled concurrently. The default.
+	// partitions (Algorithms 4–6); with at least two workers, GOMAXPROCS
+	// > 1 and more than one planned partition, the partitions are peeled
+	// concurrently. The default.
 	HLBUB = core.HLBUB
 	// HLB adds the LB2 lower bound with lazy h-degree computation
 	// (Algorithms 2–3).
