@@ -33,13 +33,16 @@ race:
 # race-parallel is the CI smoke of the concurrent h-LB+UB path: the
 # parallel-vs-sequential equivalence property, engine reuse, the
 # EnginePool concurrent-load tests, the mid-peel cancellation property,
-# the peel's interior loss-bound exactness shapes and the 1- and 2-worker
-# work-counter goldens under the race detector. The core tests among them open the engine's schedule decision
+# the peel's interior loss-bound exactness shapes, ImproveLB's
+# carrier-skip exactness (TestImproveLBCarrierSkipExact), the adaptive
+# planner's top interval (TestAdaptivePlanTopIntervalSpansTwoValues) and
+# the 1- and 2-worker work-counter goldens under the race detector. The
+# core tests among them open the engine's schedule decision
 # through its one test hook (forceParallel), so the concurrent paths run
 # at any GOMAXPROCS. The hbfs pool tests (TestPool, the fan-out contract
 # among them) cover the one publish/join seam every concurrent path shares.
 race-parallel:
-	go test -race -run 'TestParallel|TestEngine|TestCancel|TestLossBound|TestHLBUBCounterGolden|TestParallelWorkersMatchSequential|TestPool' ./internal/core/ ./internal/hbfs/ .
+	go test -race -run 'TestParallel|TestEngine|TestCancel|TestLossBound|TestImproveLBCarrierSkipExact|TestAdaptivePlanTopIntervalSpansTwoValues|TestHLBUBCounterGolden|TestParallelWorkersMatchSequential|TestPool' ./internal/core/ ./internal/hbfs/ .
 
 # race-approx is the CI smoke of the sampling-based approximate path: the
 # worker-count determinism property, the cancellation property and the

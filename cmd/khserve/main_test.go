@@ -19,8 +19,14 @@ import (
 // engine fleet's parked h-BFS helpers must all retire with the pool.
 func testServer(t *testing.T, engines int) (*server, *khcore.Graph) {
 	t.Helper()
-	leakcheck.Check(t)
 	g := khcore.BarabasiAlbert(300, 3, 42)
+	return testServerOn(t, g, engines), g
+}
+
+// testServerOn is testServer over a caller-chosen graph.
+func testServerOn(t *testing.T, g *khcore.Graph, engines int) *server {
+	t.Helper()
+	leakcheck.Check(t)
 	s, err := newServer(g, nil, serverConfig{
 		Engines:    engines,
 		Workers:    1,
@@ -35,7 +41,7 @@ func testServer(t *testing.T, engines int) (*server, *khcore.Graph) {
 		t.Fatalf("newServer: %v", err)
 	}
 	t.Cleanup(s.close)
-	return s, g
+	return s
 }
 
 // get performs one request against the handler and decodes the JSON body.

@@ -232,8 +232,11 @@ func TestDegradeNeverOptsOut(t *testing.T) {
 // exact estimate, so the request degrades, and well above the
 // approximate estimate, so the fallback finishes in time — and expect a
 // degraded 200 rather than a 504. Skipped only when the window is empty.
+// The window needs an exact estimate at least 4/1.4 ≈ 2.9× the
+// approximate one; at h = 3, BA(600, 5) gives about 7× on a 2-vCPU
+// x86-64 host, while the sparser BA(300, 3) of testServer gives only 2×.
 func TestDegradationUnderRealDeadline(t *testing.T) {
-	s, _ := testServer(t, 1)
+	s := testServerOn(t, khcore.BarabasiAlbert(600, 5, 42), 1)
 	h := s.handler()
 	for _, tier := range []string{"", "&mode=approx"} {
 		var warm decomposeResponse

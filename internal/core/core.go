@@ -120,7 +120,9 @@ type Options struct {
 	// pays one ImproveLB pass over its vertex set, so more partitions
 	// cost more up-front work; ≤ 0 selects an adaptive split that balances
 	// the estimated work per partition from the upper-bound histogram
-	// (which is what makes the parallel partition peeling load-balance).
+	// (which is what makes the parallel partition peeling load-balance)
+	// and never gives the top partition the largest upper bound alone. A
+	// positive S is taken literally, S = 1 included.
 	PartitionSize int
 	// LowerBound and UpperBound select ablation variants (Table 5).
 	LowerBound LowerBoundKind

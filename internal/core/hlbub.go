@@ -130,7 +130,13 @@ next:
 // proxy for it on skewed graphs where one hub value carries thousands of
 // vertices and a tail value carries one. The target partition count grows
 // with the effective solver count so the work queue stays long enough to
-// balance.
+// balance. When the top value alone outweighs a share, it would close an
+// interval [maxUB, maxUB] on its own; the adaptive plan folds it into the
+// next interval instead, so the top interval spans at least two distinct
+// values whenever there are two. The largest upper bound is rarely a core
+// index, and such an interval paid a full ImproveLB pass to evict its
+// whole partition while settling nothing (caHe at h = 3: [384, 384], 713
+// vertices).
 func (e *Engine) planIntervals(ub, lb2 []int32, solvers int) {
 	minLB2 := lb2[0]
 	for _, b := range lb2[1:] {
@@ -204,6 +210,12 @@ func (e *Engine) planIntervals(ub, lb2 []int32, solvers int) {
 		e.intervals = append(e.intervals, interval{kmin: int(vals[jn]) + 1, kmax: int(vals[j])})
 		remaining -= acc
 		j = jn
+	}
+	// A top interval holding only the largest upper bound folds into the
+	// next one, so the top interval spans at least two values.
+	if iv := e.intervals; len(iv) > 1 && iv[0].kmin == int(vals[1])+1 {
+		iv[1].kmax = iv[0].kmax
+		e.intervals = append(iv[:0], iv[1:]...)
 	}
 }
 

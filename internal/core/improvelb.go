@@ -10,6 +10,18 @@ package core
 // vertices whose (optimistically decremented) h-degree falls below kmin,
 // since such vertices cannot belong to any core of this partition.
 //
+// Carriers (see carrierKey: vertices whose best known lower bound already
+// exceeds kmax) stay alive but are never counted, decremented or queued.
+// The (c,h)-core of a carrier with core index c > kmax lies inside
+// V[kmin], every member's upper bound being at least c, and the cleaning
+// never evicts a core member, so the carrier's h-degree in the cleaned
+// partition stays ≥ c > kmin: it can never be evicted, and seedQueue keys
+// it by its lower bound without reading its count. Step (1) therefore
+// counts only the other vertices, step (2) takes its minimum over them
+// and kmax+1 (a carrier's h-degree is at least kmax+1), and step (3)
+// neither decrements nor queues a carrier. On the serial path most of a
+// lower partition is carriers settled by higher intervals.
+//
 // Truncation bookkeeping: vertices whose count hit the cap are marked in
 // s.capped — their deg entry is a lower bound on the true h-degree, which
 // the cleaning cascade must not treat as an upper bound. Eviction only
@@ -34,13 +46,14 @@ package core
 // true minimum, and LB3 is a lower bound.
 //
 // On return the alive mask reflects the cleaned partition; s.deg holds the
-// (possibly capped, flagged) h-degrees of step (1); s.lb3 has been raised
-// in place. The s.dirty set marks surviving vertices whose degree was
-// touched by the cleaning cascade: their s.deg value is no longer
-// trustworthy. For every clean survivor s.deg is exact-or-capped even
-// after removals — a removed vertex w can only affect v's h-neighborhood
-// if some vertex within distance h of v routes through w, which forces w
-// itself within distance h of v, i.e. v would have been decremented.
+// (possibly capped, flagged) h-degrees of step (1) for every counted
+// vertex; s.lb3 has been raised in place. The s.dirty set marks surviving
+// vertices whose degree was touched by the cleaning cascade: their s.deg
+// value is no longer trustworthy. For every clean counted survivor s.deg
+// is exact-or-capped even after removals — a removed vertex w can only
+// affect v's h-neighborhood if some vertex within distance h of v routes
+// through w, which forces w itself within distance h of v, i.e. v would
+// have been decremented.
 //
 //khcore:peel
 //khcore:vset-caller-epoch capped alive
@@ -49,12 +62,20 @@ func (s *partitionSolver) improveLB(part []int32, kmin, kmax int) {
 	if len(part) == 0 {
 		return
 	}
-	// Step 1: h-degrees inside G[V[kmin]] (count-only sweep — parallel over
-	// the pool for the sequential solver, single-traversal inside a
-	// concurrent interval job — truncated above the partition's top level).
-	capd := kmax + 1 + s.headroom(kmax)
-	s.stats.HDegreeComputations += s.hdegCappedBatch(part, capd)
+	// Step 1: h-degrees inside G[V[kmin]] of every vertex but the carriers
+	// (count-only sweep — parallel over the pool for the sequential
+	// solver, single-traversal inside a concurrent interval job —
+	// truncated above the partition's top level). The counted list lives
+	// in the eviction stack's scratch until step 3 filters it in place.
+	counted := s.cascade[:0]
 	for _, v := range part {
+		if _, carrier := s.carrierKey(v, kmax); !carrier {
+			counted = append(counted, v)
+		}
+	}
+	capd := kmax + 1 + s.headroom(kmax)
+	s.stats.HDegreeComputations += s.hdegCappedBatch(counted, capd)
+	for _, v := range counted {
 		if int(s.deg[v]) >= capd {
 			s.capped.Add(int(v))
 		} else {
@@ -64,10 +85,11 @@ func (s *partitionSolver) improveLB(part []int32, kmin, kmax int) {
 
 	// Step 2: Property 3 — every partition member's core index is at
 	// least the minimum h-degree within the induced subgraph. A capped
-	// entry under-estimates its vertex's true h-degree, so the truncated
-	// minimum is still a valid lower bound.
-	minDeg := s.deg[part[0]]
-	for _, v := range part[1:] {
+	// entry under-estimates its vertex's true h-degree, and a carrier's
+	// h-degree is at least kmax+1, so the truncated minimum over the
+	// counted vertices and kmax+1 is still a valid lower bound.
+	minDeg := int32(kmax + 1)
+	for _, v := range counted {
 		if s.deg[v] < minDeg {
 			minDeg = s.deg[v]
 		}
@@ -83,15 +105,14 @@ func (s *partitionSolver) improveLB(part []int32, kmin, kmax int) {
 	// Exact decrement-only updates give an upper bound on the true
 	// h-degree, so dropping below kmin is a sound eviction test; capped
 	// entries wait as suspects for the next re-verification wave.
-	// Assigned vertices (core ≥ previous kmin > current kmax) can never be
-	// evicted: their h-degree inside the partition is at least
-	// min(core index, cap) ≥ kmin. inQueue marks both the eviction stack
-	// and the suspect list, so no vertex sits on both, or twice on one.
+	// Carriers are never evicted, so they take no decrement. inQueue
+	// marks both the eviction stack and the suspect list, so no vertex
+	// sits on both, or twice on one.
 	t := s.t
 	s.inQueue.Clear()
-	cascade := s.cascade[:0]
+	cascade := counted[:0]
 	suspects := s.suspects[:0]
-	for _, v := range part {
+	for _, v := range counted {
 		if s.deg[v] < int32(kmin) {
 			cascade = append(cascade, v)
 			s.inQueue.Add(int(v))
@@ -113,6 +134,9 @@ waves:
 			verts, _ := t.Ball(int(v), s.h, s.alive)
 			s.alive.Remove(int(v))
 			for _, u := range verts {
+				if _, carrier := s.carrierKey(u, kmax); carrier {
+					continue
+				}
 				s.deg[u]--
 				s.stats.Decrements++
 				s.dirty.Add(int(u))
@@ -138,6 +162,7 @@ waves:
 			}
 			d := t.HDegreeCapped(int(u), s.h, s.alive, recap)
 			s.stats.HDegreeComputations++
+			s.recounts++
 			s.deg[u] = int32(d)
 			if d < recap {
 				s.capped.Remove(int(u)) // the count is exact now

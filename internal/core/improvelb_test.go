@@ -64,25 +64,14 @@ func suspectOpts(h int) Options {
 	return Options{H: h, PartitionSize: 2}
 }
 
-// waveRecounts replays the ImproveLB pass of every interval e planned in
-// its last HLBUB run and returns how many suspects those passes
-// re-counted: every h-degree computation beyond the pass's initial sweep
-// over the partition is one suspect's re-verification. The cleaning reads
-// neither LB3 nor settled state, so the replay cleans each partition
-// exactly as the serial and the concurrent schedule did.
+// waveRecounts returns how many suspects ImproveLB re-counted across
+// every solver e has run: the sequential solver and the interval
+// fan-out's fleet. Called on a fresh engine after one run, it observes
+// that run's re-verification waves.
 func waveRecounts(e *Engine) int64 {
-	s := newPartitionSolver()
-	s.bind(e.g, e.core, e.h, e.fixedSlack, nil, &e.cancel)
-	s.t = e.pool.Traversal(0)
 	var recounts int64
-	for _, iv := range e.intervals {
-		if !s.buildPartition(iv.kmin, e.ub) {
-			continue
-		}
-		before := s.stats.HDegreeComputations + int64(len(s.part))
-		s.capped.Clear()
-		s.improveLB(s.part, iv.kmin, iv.kmax)
-		recounts += s.stats.HDegreeComputations - before
+	for _, s := range e.sv {
+		recounts += s.recounts
 	}
 	return recounts
 }
@@ -113,6 +102,46 @@ func TestImproveLBSuspectWavesExact(t *testing.T) {
 						t.Fatal("no capped dip was re-verified; the settings no longer reach the wave path")
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestImproveLBCarrierSkipExact checks the carrier rule: ImproveLB
+// leaves out of its count and its cleaning every vertex whose best known
+// lower bound already exceeds the interval's top, and floors LB3 at
+// kmax+1 in their place. A carrier test that also took the vertices whose
+// bound equals kmax floors LB3 one level too high on a vertex of core
+// index kmax, which then settles in no interval. The graphs are the
+// suspect corpus and the loss-bound shapes, at h = 2..4, under the
+// adaptive plan and the paper's fixed widths S = 1 and 2, on the serial
+// path (1 worker, where carriers are mostly vertices settled by a higher
+// interval) and on the concurrent one (2 workers, schedule forced open,
+// where only LB3 makes a carrier), each against the naive oracle.
+func TestImproveLBCarrierSkipExact(t *testing.T) {
+	forceParallel(t)
+	graphs := map[string]*graph.Graph{}
+	for _, c := range suspectCorpus(t) {
+		graphs[c.name] = c.g
+	}
+	for name, g := range lossBoundShapes() {
+		graphs[name] = g
+	}
+	for name, g := range graphs {
+		for h := 2; h <= 4; h++ {
+			want := NaiveDecompose(g, h)
+			for _, size := range []int{0, 1, 2} {
+				for _, workers := range []int{1, 2} {
+					eng := NewEngine(g, workers)
+					var res Result
+					err := eng.DecomposeInto(&res, Options{H: h, PartitionSize: size})
+					eng.Close()
+					label := fmt.Sprintf("%s h=%d S=%d workers=%d", name, h, size, workers)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					decomposeEqual(t, res.Core, want, label)
+				}
 			}
 		}
 	}
@@ -198,11 +227,12 @@ func TestImproveLBCancelMidCascade(t *testing.T) {
 
 // TestHLBUBCounterGolden pins the work counters of HLBUB on four
 // datasets, so a change that loses (or gains) work shows up as a failing
-// test rather than as drift in a benchmark record. caAs exercises
-// ImproveLB's capped-dip waves; jazz has none. FBco h=2 and caHe h=3 have
-// cores well past k = 128, where the recount headroom grows with k. The
-// 1-worker row is the serial carry path. The 2-worker row, under
-// forceParallel, is the parallel Algorithm-5 peel plus the interval
+// test rather than as drift in a benchmark record. The last column
+// counts ImproveLB's suspect re-verifications: caAs reaches the capped-dip
+// waves at both worker counts, the other three have none. FBco h=2 and
+// caHe h=3 have cores well past k = 128, where the recount headroom grows
+// with k. The 1-worker row is the serial carry path. The 2-worker row,
+// under forceParallel, is the parallel Algorithm-5 peel plus the interval
 // fan-out: its solvers share no mutable state, so each interval does the
 // same work whichever solver claims it and the counters repeat exactly
 // (the same values hold at 3 workers, which plan the same intervals). A
@@ -210,16 +240,16 @@ func TestImproveLBCancelMidCascade(t *testing.T) {
 // before and after recorded in CHANGES.md.
 func TestHLBUBCounterGolden(t *testing.T) {
 	forceParallel(t)
-	type counters struct{ visits, hdegs, decrements, partitions int64 }
+	type counters struct{ visits, hdegs, decrements, partitions, recounts int64 }
 	golden := []struct {
 		name     string
 		h        int
 		one, two counters
 	}{
-		{"jazz", 2, counters{191679, 1989, 19161, 8}, counters{195646, 2028, 17909, 8}},
-		{"caAs", 2, counters{1368160, 16327, 158065, 7}, counters{1599312, 19214, 184348, 7}},
-		{"FBco", 2, counters{3686922, 11543, 407696, 7}, counters{4731620, 15288, 431855, 7}},
-		{"caHe", 3, counters{6177959, 16032, 616310, 7}, counters{7722745, 20360, 620161, 7}},
+		{"jazz", 2, counters{117631, 821, 19737, 7, 0}, counters{157790, 1275, 17998, 7, 0}},
+		{"caAs", 2, counters{941077, 9154, 129228, 6, 3}, counters{1375752, 14882, 156779, 6, 3}},
+		{"FBco", 2, counters{2500892, 6565, 297658, 6, 0}, counters{4043023, 12483, 318807, 6, 0}},
+		{"caHe", 3, counters{4420083, 9422, 444836, 6, 0}, counters{6902961, 17560, 450252, 6, 0}},
 	}
 	for _, c := range golden {
 		g, err := datasets.Load(c.name)
@@ -233,14 +263,15 @@ func TestHLBUBCounterGolden(t *testing.T) {
 			eng := NewEngine(g, run.workers)
 			var res Result
 			err = eng.DecomposeInto(&res, Options{H: c.h})
+			recounts := waveRecounts(eng)
 			eng.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
 			st := res.Stats
-			got := counters{st.Visits, st.HDegreeComputations, st.Decrements, int64(st.Partitions)}
+			got := counters{st.Visits, st.HDegreeComputations, st.Decrements, int64(st.Partitions), recounts}
 			if got != run.want {
-				t.Errorf("%s h=%d workers=%d: visits, h-degree computations, decrements, partitions = %v; want %v",
+				t.Errorf("%s h=%d workers=%d: visits, h-degree computations, decrements, partitions, suspect re-counts = %v; want %v",
 					c.name, c.h, run.workers, got, run.want)
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -242,6 +243,58 @@ func TestAdaptivePartitionPlanBalancesMass(t *testing.T) {
 		if mass > 2*share+biggestVal {
 			t.Errorf("interval %d [%d,%d] carries %d vertices (share %d, biggest value %d): unbalanced",
 				i, iv.kmin, iv.kmax, mass, share, biggestVal)
+		}
+	}
+}
+
+// TestAdaptivePlanTopIntervalSpansTwoValues checks the planner's top
+// interval: when the largest upper bound alone outweighs an equal share of
+// the vertex mass, the adaptive plan still gives the top interval at least
+// two distinct values, while the paper's fixed width S = 1 keeps it alone.
+// A single distinct value makes a one-value plan under both.
+func TestAdaptivePlanTopIntervalSpansTwoValues(t *testing.T) {
+	// 100 vertices at UB 10, then five at each of 9..1; LB2 = 1 puts the
+	// sentinel at 0. The top value carries 100 of 145 vertices, far past
+	// the 145/8 share.
+	var ub []int32
+	for i := 0; i < 100; i++ {
+		ub = append(ub, 10)
+	}
+	for v := int32(9); v >= 1; v-- {
+		for i := 0; i < 5; i++ {
+			ub = append(ub, v)
+		}
+	}
+	lb2 := make([]int32, len(ub))
+	for i := range lb2 {
+		lb2[i] = 1
+	}
+	plan := func(ub, lb2 []int32, size int) []interval {
+		var e Engine
+		e.opts.PartitionSize = size
+		e.planIntervals(ub, lb2, 1)
+		// Contiguous, top-down, covering every value down to min LB2.
+		lo, hi := int(slices.Min(lb2)), int(slices.Max(ub))
+		if e.intervals[0].kmax != hi || e.intervals[len(e.intervals)-1].kmin != lo {
+			t.Fatalf("S=%d: plan %v does not cover [%d, %d]", size, e.intervals, lo, hi)
+		}
+		for i := 1; i < len(e.intervals); i++ {
+			if e.intervals[i].kmax != e.intervals[i-1].kmin-1 {
+				t.Fatalf("S=%d: plan %v is not contiguous", size, e.intervals)
+			}
+		}
+		return e.intervals
+	}
+	if top := plan(ub, lb2, 0)[0]; top.kmin > 9 {
+		t.Errorf("adaptive top interval %+v spans one value", top)
+	}
+	if top := plan(ub, lb2, 1)[0]; top != (interval{kmin: 10, kmax: 10}) {
+		t.Errorf("S=1 top interval %+v, want [10, 10]", top)
+	}
+	flat := []int32{5, 5, 5, 5}
+	for _, size := range []int{0, 1} {
+		if p := plan(flat, flat, size); len(p) != 1 || p[0] != (interval{kmin: 5, kmax: 5}) {
+			t.Errorf("S=%d: one-value plan %v, want [[5, 5]]", size, p)
 		}
 	}
 }

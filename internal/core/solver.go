@@ -39,6 +39,11 @@ type partitionSolver struct {
 	// Engine.fixedSlack test seam); zero applies the headroom rule.
 	pin   int
 	stats Stats
+	// recounts tallies ImproveLB's suspect re-verifications over the
+	// solver's lifetime (they also count in stats.HDegreeComputations).
+	// Nothing in the engine reads it; tests do, to confirm that a
+	// workload reaches the wave path.
+	recounts int64
 	// cancel is the engine's per-run cancellation broadcast; the peeling
 	// and cleaning loops poll it, amortized by cancelCheckMask.
 	cancel *cancelState
@@ -192,16 +197,28 @@ func (s *partitionSolver) buildPartition(kmin int, ub []int32) bool {
 	return len(s.part) > 0
 }
 
+// carrierKey returns the best lower bound the solver holds on v's core
+// index — max(LB3, v's final core index if this solver settled it) — and
+// whether that bound makes v a carrier of an interval topped at kmax: a
+// vertex provably settling above the interval, which the interval's
+// cleaning (improveLB) and peel (seedQueue) never re-process. On the
+// serial path intervals settle top-down, so every vertex above kmax is
+// already assigned; a parallel solver claims intervals bottom-up, so its
+// own settles all lie below kmin and only LB3 can make a carrier.
+//
+//khcore:hotpath
+func (s *partitionSolver) carrierKey(v int32, kmax int) (int, bool) {
+	key := int(s.lb3[v])
+	if s.assigned.Contains(int(v)) && int(s.core[v]) > key {
+		key = int(s.core[v])
+	}
+	return key, key > kmax
+}
+
 // seedQueue seeds the bucket queue for one interval (Algorithm 4 lines
-// 15–17), after improveLB has cleaned the partition. Carriers — vertices
-// provably settling above kmax — sit at a key above every level this
-// interval peels, so they contribute distances but are never re-processed.
-// A vertex's carrier key is the best lower bound the solver holds on its
-// core index: max(LB3, its final core index if this solver settled it),
-// and the vertex is a carrier iff that key exceeds kmax. On the serial
-// path intervals settle top-down, so every vertex above kmax is already
-// assigned; a parallel solver claims intervals bottom-up, so its own
-// settles all lie below kmin and only LB3 can make a carrier. Unsettled
+// 15–17), after improveLB has cleaned the partition. Carriers (see
+// carrierKey) sit at their key, above every level this interval peels,
+// so they contribute distances but are never re-processed. Unsettled
 // vertices whose h-degree survived the cleaning untouched are seeded with
 // that exact degree (saving the lazy re-computation); cleaning-affected
 // ones fall back to their best lower bound with the lazy flag raised —
@@ -216,12 +233,9 @@ func (s *partitionSolver) seedQueue(kmin, kmax int) {
 		if !s.alive.Contains(int(v)) {
 			continue
 		}
-		key := int(s.lb3[v])
-		if s.assigned.Contains(int(v)) && int(s.core[v]) > key {
-			key = int(s.core[v])
-		}
+		key, carrier := s.carrierKey(v, kmax)
 		switch {
-		case key > kmax:
+		case carrier:
 			s.setLB.Add(int(v))
 			s.q.insert(int(v), key)
 		case !s.dirty.Contains(int(v)):
